@@ -33,9 +33,9 @@ The ``bench`` subcommand runs named scenarios under a common protocol
 [--fail-on-regress]`` diffs two result sets with a noise-aware
 threshold (see ``repro.obs.bench`` / ``repro.obs.regress``).
 
-The ``batch`` subcommand schedules corpora as a service: pluggable
-execution backends (``--backend serial|process|chunked``, ``--jobs``,
-``--chunk-size``), a content-addressed result cache in either a fan-out
+The ``batch`` subcommand schedules corpora as a service: ``--jobs``
+picks serial in-process execution (1, the default) or the chunked
+worker pool, a content-addressed result cache in either a fan-out
 directory (``--cache-dir``) or a single sqlite file (``--cache-db``),
 cache eviction (``--gc --max-cache-bytes/--max-cache-age``),
 heterogeneous machine sweeps (``--sweep-load-latency 2,13,27``), and a
@@ -80,7 +80,12 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.regalloc import allocate_registers
-from repro.simulator import initial_state, run_pipelined, run_sequential
+from repro.simulator import (
+    initial_state,
+    run_pipelined,
+    run_sequential,
+    values_close,
+)
 
 _DEMO = """\
 loop figure1
@@ -329,14 +334,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.simulate:
         sequential = run_sequential(program, initial_state(program))
         pipelined = run_pipelined(schedule, initial_state(program))
-        mismatches = 0
-        for name in program.arrays:
-            for a, b in zip(sequential.arrays[name], pipelined.arrays[name]):
-                if not (a == b or abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))):
-                    mismatches += 1
-        for name in program.live_out:
-            if abs(sequential.scalars[name] - pipelined.scalars[name]) > 1e-9:
-                mismatches += 1
+        mismatches = sum(
+            not values_close(a, b)
+            for name in program.arrays
+            for a, b in zip(sequential.arrays[name], pipelined.arrays[name])
+        ) + sum(
+            not values_close(sequential.scalars[name], pipelined.scalars[name])
+            for name in program.live_out
+        )
         if mismatches:
             print(f"SIMULATION MISMATCH: {mismatches} locations differ")
             return 1

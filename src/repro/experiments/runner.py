@@ -149,14 +149,13 @@ def run_corpus(
     cache_db: Optional[str] = None,
     timeout: Optional[float] = None,
     machines=None,
-    backend: str = "auto",
 ) -> List[LoopMetrics]:
     """Measure a whole corpus with one scheduler configuration.
 
-    ``jobs`` > 1, a cache location, per-loop ``machines`` or an explicit
-    ``backend`` routes the corpus through the batch scheduling service
-    (:mod:`repro.service`): worker processes, per-job ``timeout``, and a
-    content-addressed result cache (directory or sqlite).  The service
+    ``jobs`` > 1, a cache location or per-loop ``machines`` routes the
+    corpus through the batch scheduling service (:mod:`repro.service`):
+    worker processes, per-job ``timeout``, and a content-addressed
+    result cache (directory or sqlite).  The service
     path returns metrics in the same order with identical values.
     ``tracer``/``profiler`` hooks cross process boundaries via per-job
     spool files merged in submission order, so observability is
@@ -169,7 +168,6 @@ def run_corpus(
         or cache_dir is not None
         or cache_db is not None
         or machines is not None
-        or backend != "auto"
     )
     if use_service:
         from repro.service import run_batch
@@ -185,7 +183,6 @@ def run_corpus(
             cache_db=cache_db,
             metrics=metrics,
             machines=machines,
-            backend=backend,
             tracer=tracer,
             profiler=profiler,
         )
@@ -234,13 +231,12 @@ def run_corpus_sweep(
     cache_dir: Optional[str] = None,
     cache_db: Optional[str] = None,
     timeout: Optional[float] = None,
-    backend: str = "auto",
 ) -> List[List[LoopMetrics]]:
     """Measure one corpus under several machines as ONE heterogeneous batch.
 
     Returns one metrics list per machine, each ordered like ``programs``
     — the same shape as calling :func:`run_corpus` once per machine,
-    but submitted as a single batch so the parallel backends interleave
+    but submitted as a single batch so the worker pool interleaves
     work across configurations (and the worker-resident machine cache
     holds every machine at once).  Each (program, machine) pair keeps
     its own cache key, so sweeps are warm-cacheable per configuration.
@@ -258,7 +254,6 @@ def run_corpus_sweep(
         cache_db=cache_db,
         timeout=timeout,
         machines=flat_machines,
-        backend=backend,
     )
     n = len(programs)
     return [flat[i * n : (i + 1) * n] for i in range(len(machines))]

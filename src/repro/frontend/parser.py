@@ -79,8 +79,9 @@ def _tokenize(text: str, line: int) -> List[Tuple[str, str]]:
     while position < len(text):
         match = _TOKEN_RE.match(text, position)
         if match is None:
-            if text[position:].strip():
-                raise ParseError(f"unexpected character {text[position]!r}", line)
+            rest = text[position:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}", line)
             break
         position = match.end()
         for kind in ("number", "name", "op"):
@@ -89,6 +90,14 @@ def _tokenize(text: str, line: int) -> List[Tuple[str, str]]:
                 tokens.append((kind, value))
                 break
     return tokens
+
+
+def _literal(convert, text: str, what: str, line: int):
+    """``convert(text)``, raising a located ParseError instead of ValueError."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParseError(f"invalid {what} {text!r}", line) from None
 
 
 class _ExprParser:
@@ -264,12 +273,12 @@ def parse_loop(source: str) -> DoLoop:
             parts = text.split()
             if len(parts) != 3:
                 raise ParseError("expected: array NAME SIZE", number)
-            arrays[parts[1]] = int(parts[2])
+            arrays[parts[1]] = _literal(int, parts[2], "array size", number)
         elif lowered.startswith("scalar "):
             parts = text.split()
             if len(parts) != 3:
                 raise ParseError("expected: scalar NAME VALUE", number)
-            scalars[parts[1]] = float(parts[2])
+            scalars[parts[1]] = _literal(float, parts[2], "scalar value", number)
         elif lowered.startswith("liveout"):
             live_out.extend(text.split()[1:])
         elif lowered.startswith("do "):
@@ -287,7 +296,8 @@ def parse_loop(source: str) -> DoLoop:
     if match is None:
         raise ParseError("expected: do i = START, END", number)
     index_name, start_text, end_text = match.groups()
-    start, end = int(start_text), int(end_text)
+    start = _literal(int, start_text, "loop bound", number)
+    end = _literal(int, end_text, "loop bound", number)
     if end < start:
         raise ParseError("loop upper bound below lower bound", number)
     position += 1

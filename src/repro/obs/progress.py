@@ -5,12 +5,12 @@ exited.  This module makes the service legible while it runs:
 
 * Every job emits a small, schema-versioned stream of
   :class:`ProgressEvent`\\ s — ``submitted`` when the batch accepts it,
-  ``cached`` when the result cache answers, ``started`` when an
-  execution backend dispatches it, ``finished``/``failed`` when its
-  result lands, ``quarantined`` when a pool crash reroutes it.  All
-  three execution backends emit the *same per-job sequence*; only
-  timestamps and cross-job interleaving differ (asserted by the parity
-  tests).
+  ``cached`` when the result cache answers, ``started`` when
+  :func:`repro.service.pool.run_jobs` dispatches it, ``finished``/
+  ``failed`` when its result lands, ``quarantined`` when a pool crash
+  reroutes it.  Serial and pooled runs, at any chunk size, emit the
+  *same per-job sequence*; only timestamps and cross-job interleaving
+  differ (asserted by the parity tests).
 * :class:`ProgressTracker` fans events out to any number of sinks — a
   throttled TTY status line (:class:`TTYProgress`), a JSONL file
   (:class:`JSONLProgress`), an in-memory collector — and runs the
@@ -25,7 +25,7 @@ Everything here is parent-process-side bookkeeping — a handful of dict
 operations per job, not per scheduler decision — so the cost is
 independent of loop size and bounded by the 5-way overhead bench
 (``benchmarks/bench_scheduler_speed.py``).  The default remains "no
-progress": backends take ``progress=None`` and skip every emission.
+progress": ``run_jobs`` takes ``progress=None`` and skips every emission.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ class ProgressSink:
 
 
 class NullProgressSink(ProgressSink):
-    """The zero-cost default (backends skip emission entirely)."""
+    """The zero-cost default (the dispatcher skips emission entirely)."""
 
     enabled = False
 
@@ -375,10 +375,10 @@ class StragglerWatchdog:
 class ProgressTracker:
     """The batch's progress hub: fan-out, counts, straggler watchdog.
 
-    ``emit`` is what backends call (their ``progress=`` parameter).  It
-    updates counters, runs the watchdog (flagging both slow results and
-    still-running jobs on every event arrival), then forwards the event
-    — plus any synthetic ``straggler`` events — to every sink.
+    ``emit`` is what the dispatcher calls (its ``progress=`` parameter).
+    It updates counters, runs the watchdog (flagging both slow results
+    and still-running jobs on every event arrival), then forwards the
+    event — plus any synthetic ``straggler`` events — to every sink.
     """
 
     def __init__(
@@ -397,7 +397,7 @@ class ProgressTracker:
         self._flagged: Dict[int, bool] = {}
         self._running: Dict[int, ProgressEvent] = {}  # job -> started event
 
-    # -- the backend-facing callback ----------------------------------
+    # -- the dispatcher-facing callback -------------------------------
     def emit(self, event: ProgressEvent) -> None:
         self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
         if event.kind == KIND_STARTED:
@@ -501,9 +501,9 @@ class ProgressTracker:
 def lifecycle_sequence(events: Sequence[ProgressEvent]) -> Dict[int, List[str]]:
     """Per-job kind sequences with synthetic kinds dropped.
 
-    This is the cross-backend parity view: serial, process and chunked
-    runs of the same batch must produce identical mappings (timestamps
-    and cross-job interleaving are already gone).
+    This is the parity view: serial and pooled runs of the same batch,
+    at any chunk size, must produce identical mappings (timestamps and
+    cross-job interleaving are already gone).
     """
     ordered: Dict[int, List[str]] = {}
     for event in events:

@@ -7,7 +7,7 @@ slack scheduler over a small JSON protocol:
   canonical metrics/schedule/explain JSON out, idempotently cached
   under the canonical SHA-256 request key;
 - ``POST /v1/batch``    — many loops in, a batch-report envelope out,
-  executed through the existing :mod:`repro.service` backends;
+  executed through :func:`repro.service.run_batch`;
 - ``GET/PUT /v1/cache/<key>`` — the shared warm cache over HTTP, with
   ETag conditional gets and optional bearer-token auth;
 - ``GET /healthz`` / ``GET /metricz`` — liveness and a metrics

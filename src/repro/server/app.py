@@ -77,7 +77,6 @@ class ServerConfig:
     auth_token: Optional[str] = None
     jobs: int = 1  # /v1/batch worker processes
     job_timeout: Optional[float] = None  # /v1/batch per-job budget
-    backend: str = "auto"  # /v1/batch execution backend
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     verbose: bool = False
 
@@ -396,7 +395,6 @@ class _Handler(BaseHTTPRequestHandler):
             options=request.options,
             jobs=config.jobs,
             timeout=config.job_timeout,
-            backend=config.backend,
             cache=cache,
             use_cache=cache is not None,
         )

@@ -1,4 +1,4 @@
-"""Batch scheduling service: pluggable backends + multi-backend cache.
+"""Batch scheduling service: one execution path + multi-backend cache.
 
 The scheduler itself is a pure function from ``(loop, machine,
 algorithm, options)`` to a schedule, which makes it an ideal service
@@ -18,12 +18,11 @@ measure_loop` into exactly that service:
   status (``ok | failed | timeout | crashed | cached``), optional
   per-job machines for heterogeneous sweeps, and deterministic result
   ordering;
-- :mod:`repro.service.pool` — shared pool machinery: in-worker
-  wall-clock budgets, crash quarantine with bounded retry, graceful
-  degradation to in-process serial execution, observability spooling;
-- :mod:`repro.service.backends` — the :class:`ExecutionBackend`
-  strategies: serial in-process, per-job process pool, and the chunked
-  pool that keeps deserialized machines resident in workers;
+- :mod:`repro.service.pool` — :func:`run_jobs`, the one dispatcher:
+  the worker count picks in-process execution or the chunked process
+  pool that keeps deserialized machines resident in workers, with
+  in-worker wall-clock budgets, crash quarantine with bounded retry and
+  graceful degradation to in-process serial execution;
 - :mod:`repro.service.spool` — per-job observability spool files
   merged in submission order, so ``--trace``/``--explain`` cross
   process boundaries deterministically;
@@ -31,14 +30,6 @@ measure_loop` into exactly that service:
   (``python -m repro batch``) tying the above together.
 """
 
-from repro.service.backends import (
-    BACKEND_NAMES,
-    ChunkedProcessBackend,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-)
 from repro.service.cache import (
     CacheBackend,
     CacheEntry,
@@ -76,12 +67,6 @@ from repro.service.spool import SpoolMergeStats, merge_spools, write_spool
 from repro.service.batch import BatchReport, batch_main, run_batch
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ChunkedProcessBackend",
-    "ExecutionBackend",
-    "ProcessBackend",
-    "SerialBackend",
-    "resolve_backend",
     "CacheBackend",
     "CacheEntry",
     "CacheStats",

@@ -1,4 +1,4 @@
-"""Batch front end: corpus/file scheduling with cache + worker backends.
+"""Batch front end: corpus/file scheduling with a result cache and workers.
 
 API::
 
@@ -22,11 +22,11 @@ CLI::
         --sweep-machine vliw-wide --sweep-machine simd:depth=3
     python -m repro batch --gc --max-cache-bytes 500M --max-cache-age 7d
 
-Execution strategy is pluggable (:mod:`repro.service.backends`): jobs=1
-runs serially in-process, parallel batches default to the *chunked*
-backend, which ships each distinct machine to every worker once (keyed
-by digest, cached in the worker initializer) and dispatches jobs in
-per-worker chunks, so per-job pickling stops dominating small corpora.
+The worker count picks how jobs run (:func:`repro.service.pool.run_jobs`):
+jobs=1 runs them serially in-process; more jobs use the *chunked* pool,
+which ships each distinct machine to every worker once (keyed by digest,
+cached in the worker initializer) and dispatches jobs in per-worker
+chunks, so per-job pickling stops dominating small corpora.
 
 The cache is consulted before the pool: hits come back as ``cached``
 results without touching a worker, misses are scheduled and written
@@ -67,11 +67,6 @@ from repro.obs.progress import (
     job_event,
     result_event,
 )
-from repro.service.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    resolve_backend,
-)
 from repro.service.cache import (
     CacheBackend,
     CacheStats,
@@ -87,7 +82,7 @@ from repro.service.jobs import (
     order_results,
 )
 from repro.service.keys import cache_key
-from repro.service.pool import DEFAULT_FLIGHT_CAPACITY, PoolStats
+from repro.service.pool import DEFAULT_FLIGHT_CAPACITY, PoolStats, run_jobs
 from repro.service.spool import (
     SpoolMergeStats,
     merge_spools,
@@ -185,7 +180,7 @@ class BatchReport:
         if pool.fallback_serial:
             mode = "serial"
         else:
-            mode = f"{pool.backend or 'process'} x{pool.workers} workers"
+            mode = f"{pool.backend} x{pool.workers} workers"
             if pool.chunks:
                 mode += f" ({pool.chunks} chunks)"
         lines.append(
@@ -271,7 +266,6 @@ def run_batch(
     max_retries: int = 2,
     faults: Optional[Dict[int, str]] = None,
     machines: Optional[Sequence[object]] = None,
-    backend: object = "auto",
     chunk_size: Optional[int] = None,
     tracer=None,
     profiler=None,
@@ -285,7 +279,8 @@ def run_batch(
 
     Args:
         programs: What to schedule; results keep this order.
-        jobs: Worker processes; 1 (the default) runs serially in-process.
+        jobs: Worker processes; 1 (the default) runs serially in-process,
+            more run on the chunked process pool.
         timeout: Per-job wall-clock budget in seconds (None = unlimited).
         cache_dir: Root of a directory result cache; mutually exclusive
             with ``cache_db`` and ``cache_url``.  All three None (and no
@@ -313,11 +308,8 @@ def run_batch(
         machines: Optional per-program machine overrides (None entries
             fall back to ``machine``); unlocks heterogeneous sweeps
             through one parallel, cached batch.
-        backend: Execution strategy — ``"auto"`` | ``"serial"`` |
-            ``"process"`` | ``"chunked"``, or an
-            :class:`~repro.service.backends.ExecutionBackend` instance.
-        chunk_size: Jobs per worker chunk (chunked backend only;
-            None = auto).
+        chunk_size: Jobs per pool future when ``jobs`` > 1 (None =
+            auto); must be >= 1.
         tracer: Optional session :class:`repro.obs.Tracer`; receives
             every job's scheduler events, merged in submission order.
         profiler: Optional session :class:`repro.obs.Profiler`;
@@ -409,11 +401,6 @@ def run_batch(
             else:
                 pending.append(job)
 
-    exec_backend = (
-        backend
-        if isinstance(backend, ExecutionBackend)
-        else resolve_backend(backend, workers=jobs, chunk_size=chunk_size)
-    )
     observe = (
         collect_trace
         or (tracer is not None and getattr(tracer, "enabled", True))
@@ -426,15 +413,17 @@ def run_batch(
         tempfile.mkdtemp(prefix="repro-flight-") if flight_events > 0 else None
     )
     try:
-        computed, pool_stats = exec_backend.run(
+        computed, pool_stats = run_jobs(
             pending,
             machine,
+            workers=jobs,
             timeout=timeout,
             max_retries=max_retries,
             spool_dir=spool_dir,
             progress=tracker.emit if tracker is not None else None,
             flight_dir=flight_dir,
             flight_events=flight_events,
+            chunk_size=chunk_size,
         )
         if cache is not None:
             for result in computed:
@@ -591,20 +580,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "-j",
         type=int,
         default=1,
-        help="worker processes (default 1 = serial in-process)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="auto",
-        help="execution backend: auto picks serial at --jobs 1 and the "
-        "chunked worker-resident pool otherwise (default auto)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        metavar="N",
-        help="jobs per worker chunk for the chunked backend (default: auto)",
+        help="worker processes (default 1 = serial in-process; more run "
+        "on the chunked worker-resident pool)",
     )
     parser.add_argument(
         "--timeout",
@@ -984,8 +961,6 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             cache_url=None if args.no_cache else args.cache_url,
             cache_fallback_dir=cache_fallback_dir,
             cache_auth_token=args.cache_auth_token,
-            backend=args.backend,
-            chunk_size=args.chunk_size,
             machines=machines,
             faults=_parse_faults(args.inject),
             collect_trace=bool(args.trace),
@@ -1114,7 +1089,7 @@ def run_batch_bench(
     machine=None,
     jobs: Optional[int] = None,
 ) -> dict:
-    """Benchmark the service: backend speedups + warm/cold cache time.
+    """Benchmark the service: pool speedup + warm/cold cache time.
 
     Matches :func:`repro.obs.bench.run_scenario`'s signature so the
     bench CLI can drive it like any other scenario.  Wall-clock entries
@@ -1122,14 +1097,10 @@ def run_batch_bench(
     counts and the schedule-quality aggregates are deterministic and
     gate ``--fail-on-regress``.
 
-    Three dispatch strategies are timed over the same corpus: serial
-    in-process (the floor every backend must match for correctness),
-    the historical per-job process pool, and the chunked
-    worker-resident backend — ``chunked_vs_process_speedup`` isolates
-    the dispatch-cost win from raw core count, which matters because
-    CI boxes (and this repo's own measurement container) may expose a
-    single core, capping ``parallel_speedup`` near 1.0 regardless of
-    backend.
+    Both execution paths are timed over the same corpus: serial
+    in-process (``jobs=1``) and the chunked worker-resident pool.  On a
+    single-core box ``parallel_speedup`` is capped near 1.0 whatever
+    the dispatch cost.
     """
     from repro.machine import cydra5
     from repro.obs.bench import (
@@ -1142,60 +1113,43 @@ def run_batch_bench(
     from repro.workloads import paper_corpus
 
     machine = machine or cydra5()
-    # Floor at 2 workers so the process/chunked backends actually run
-    # even on single-core boxes — there the speedups honestly come out
-    # <= 1.0 (time-kind, reported not gated) but the dispatch-cost
-    # comparison still measures something real.
+    # Floor at 2 workers so the pool actually runs even on single-core
+    # boxes — there the speedup honestly comes out <= 1.0 (time-kind,
+    # reported not gated).
     jobs = jobs or max(2, min(4, os.cpu_count() or 1))
     programs = paper_corpus(corpus_size)
 
     serial_samples: List[float] = []
-    process_samples: List[float] = []
     chunked_samples: List[float] = []
     loop_metrics = None
     for _ in range(max(1, repeats)):
         started = time.perf_counter()
-        run_batch(programs, machine, jobs=1, backend="serial", cache_dir=None)
+        run_batch(programs, machine, jobs=1, cache_dir=None)
         serial_samples.append(time.perf_counter() - started)
         started = time.perf_counter()
-        run_batch(programs, machine, jobs=jobs, backend="process", cache_dir=None)
-        process_samples.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        report = run_batch(
-            programs, machine, jobs=jobs, backend="chunked", cache_dir=None
-        )
+        report = run_batch(programs, machine, jobs=jobs, cache_dir=None)
         chunked_samples.append(time.perf_counter() - started)
         loop_metrics = report.loop_metrics
 
     cache_root = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         started = time.perf_counter()
-        cold = run_batch(
-            programs, machine, jobs=jobs, backend="chunked", cache_dir=cache_root
-        )
+        cold = run_batch(programs, machine, jobs=jobs, cache_dir=cache_root)
         cold_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        warm = run_batch(
-            programs, machine, jobs=jobs, backend="chunked", cache_dir=cache_root
-        )
+        warm = run_batch(programs, machine, jobs=jobs, cache_dir=cache_root)
         warm_seconds = time.perf_counter() - started
     finally:
         shutil.rmtree(cache_root, ignore_errors=True)
 
     serial_stats = sample_stats(serial_samples)
-    process_stats = sample_stats(process_samples)
     chunked_stats = sample_stats(chunked_samples)
     serial_wall = serial_stats["median"]
-    process_wall = process_stats["median"]
     parallel_wall = chunked_stats["median"]
     metrics = {
         "serial_wall_s": metric(
             serial_wall, "s", direction="lower", kind="time",
             iqr=serial_stats["iqr"],
-        ),
-        "process_wall_s": metric(
-            process_wall, "s", direction="lower", kind="time",
-            iqr=process_stats["iqr"],
         ),
         "parallel_wall_s": metric(
             parallel_wall, "s", direction="lower", kind="time",
@@ -1203,10 +1157,6 @@ def run_batch_bench(
         ),
         "parallel_speedup": metric(
             serial_wall / parallel_wall if parallel_wall else 0.0,
-            "x", direction="higher", kind="time",
-        ),
-        "chunked_vs_process_speedup": metric(
-            process_wall / parallel_wall if parallel_wall else 0.0,
             "x", direction="higher", kind="time",
         ),
         "cold_cache_wall_s": metric(
@@ -1243,7 +1193,6 @@ def run_batch_bench(
             "jobs": jobs,
             "backend": "chunked",
             "wall_time_samples_s": chunked_samples,
-            "process_wall_time_samples_s": process_samples,
             "serial_wall_time_samples_s": serial_samples,
             "metrics": metrics,
             "profile": None,

@@ -1,46 +1,68 @@
-"""Shared worker-pool machinery for the execution backends.
+"""How batch jobs run: in-process, or on a chunked process pool.
 
-This module holds everything a backend (:mod:`repro.service.backends`)
-needs to run jobs safely: the in-worker ``SIGALRM`` budget, fault
-injection, observability spooling, crash quarantine, and the
-:class:`PoolStats` record.  The execution *strategies* themselves —
-serial in-process, one-future-per-job process pool, chunked process
-pool with worker-resident machines — live in ``backends.py``;
-:func:`run_jobs` survives as the historical entry point and simply
-delegates to the auto-selected backend.
+:func:`run_jobs` is the one dispatcher, and the worker count alone
+picks the path:
+
+- ``workers <= 1``: every job runs in-process through
+  :func:`execute_job`, in submission order (``PoolStats.backend ==
+  "serial"``).
+- otherwise (``"chunked"``): jobs go to a ``ProcessPoolExecutor`` in
+  per-worker *chunks*.  Each distinct machine is pickled once and
+  installed in every worker by the pool initializer, keyed by
+  :func:`repro.service.keys.machine_digest`; chunk payloads carry only
+  machine-stripped jobs and digests.  Pickling therefore costs
+  O(distinct machines × workers) instead of O(jobs), and chunking
+  amortizes executor future overhead.  Heterogeneous batches (per-job
+  machines) share the same table.  A lone job still runs in-process.
 
 Fault-tolerance ladder (most to least capable, degrading gracefully):
 
-1. ``ProcessPoolExecutor`` workers; each job is guarded *inside* the
-   worker by a ``SIGALRM`` wall-clock budget, so a slow loop returns a
-   structured ``timeout`` result without poisoning the pool.
+1. Pool workers; each job is guarded *inside* the worker by a
+   ``SIGALRM`` wall-clock budget, so a slow loop returns a structured
+   ``timeout`` result without poisoning the pool.
 2. If a worker process dies (segfault, ``os._exit``, OOM kill) the pool
    is broken; every job still missing a result is resubmitted to a
-   fresh single-worker quarantine pool after an exponential backoff, a
-   bounded number of times.  A job that keeps killing its worker
-   exhausts its retries and is reported ``crashed`` — the rest of the
-   batch still completes.
+   fresh single-worker quarantine pool (:func:`run_quarantined`) after
+   an exponential backoff, a bounded number of times.  A job that keeps
+   killing its worker exhausts its retries and is reported ``crashed``
+   — the rest of the batch still completes.
 3. A worker that hangs hard enough to ignore ``SIGALRM`` (stuck in a C
    extension) trips the pool-side backstop deadline; unfinished jobs
    are reported ``timeout`` and the stuck processes are abandoned.
 4. If process pools are unavailable at all, jobs run serially
    in-process — same results, no isolation.
 
-Results are deterministic regardless of the path taken: the scheduler
-itself is a pure function, and :func:`repro.service.jobs.order_results`
-restores submission order.
+Progress contract: ``started`` when a job is dispatched, exactly one
+terminal ``finished``/``failed`` event when its result materializes —
+including synthesized backstop timeouts — and ``quarantined`` before
+any crash-recovery resubmission.  ``progress`` is a plain callable
+(``ProgressTracker.emit``); ``None`` skips every emission.
+
+Results are deterministic regardless of the path, worker count or chunk
+size: the scheduler itself is a pure function, per-job spool files keep
+observability identical (:mod:`repro.service.spool`), and
+:func:`repro.service.jobs.order_results` restores submission order.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
+import math
 import os
+import pickle
 import signal
 import threading
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.progress import (
+    KIND_QUARANTINED,
+    KIND_STARTED,
+    job_event,
+    result_event,
+)
 from repro.obs.trace import DEFAULT_FLIGHT_CAPACITY
 from repro.service.jobs import (
     JOB_CRASHED,
@@ -49,11 +71,16 @@ from repro.service.jobs import (
     JOB_TIMEOUT,
     JobResult,
     ScheduleJob,
+    order_results,
 )
 
 #: Seconds of slack granted on top of the per-job budget before the
 #: pool-side backstop declares a worker unresponsive.
 BACKSTOP_GRACE = 5.0
+
+#: Default chunking: this many chunks per worker, so a slow chunk cannot
+#: idle the rest of the pool for long (work-stealing granularity).
+CHUNKS_PER_WORKER = 4
 
 #: Fatal signals the flight recorder spills on before the worker dies.
 #: SIGKILL/OOM-kill cannot be caught; those crashes leave no dump.
@@ -294,23 +321,6 @@ def execute_job(
     )
 
 
-def _pool_worker(
-    payload: Tuple[
-        ScheduleJob, object, Optional[float], Optional[str], Optional[str], int
-    ]
-) -> JobResult:
-    """Top-level per-job worker entry point (must be picklable by name)."""
-    job, machine, timeout, spool_dir, flight_dir, flight_events = payload
-    return execute_job(
-        job,
-        machine,
-        timeout,
-        spool_dir=spool_dir,
-        flight_dir=flight_dir,
-        flight_events=flight_events,
-    )
-
-
 @dataclasses.dataclass
 class PoolStats:
     """What the pool did: throughput, faults, recovery effort."""
@@ -326,8 +336,8 @@ class PoolStats:
     fallback_serial: bool = False
     busy_seconds: float = 0.0  # sum of worker-side job wall times
     wall_seconds: float = 0.0
-    backend: str = ""  # which ExecutionBackend produced these results
-    chunks: int = 0  # chunked backend: futures submitted
+    backend: str = "serial"  # execution path: "serial" or "chunked"
+    chunks: int = 0  # chunk futures submitted to the pool
 
     @property
     def utilization(self) -> float:
@@ -351,6 +361,17 @@ def _tally(stats: PoolStats, results: Sequence[JobResult]) -> None:
             stats.crashes += 1
 
 
+def _unresponsive(job: ScheduleJob, retries: int = 0) -> JobResult:
+    """The synthesized verdict for a job whose worker tripped the backstop."""
+    return JobResult(
+        index=job.index,
+        name=job.name,
+        status=JOB_TIMEOUT,
+        error="backstop: worker unresponsive past its budget",
+        retries=retries,
+    )
+
+
 def run_quarantined(
     job: ScheduleJob,
     machine,
@@ -371,8 +392,7 @@ def run_quarantined(
     ring (when one exists) so the failure record still names the ops
     in flight when the worker died.
     """
-    import concurrent.futures
-
+    job_args = (timeout, spool_dir, flight_dir, flight_events)
     attempt = 0
     while True:
         try:
@@ -380,23 +400,12 @@ def run_quarantined(
         except (OSError, ValueError, RuntimeError):
             stats.fallback_serial = True
             return dataclasses.replace(
-                execute_job(
-                    job,
-                    machine,
-                    timeout,
-                    spool_dir=spool_dir,
-                    flight_dir=flight_dir,
-                    flight_events=flight_events,
-                ),
-                retries=attempt,
+                execute_job(job, machine, *job_args), retries=attempt
             )
         hung = False
         broken = False
         try:
-            future = executor.submit(
-                _pool_worker,
-                (job, machine, timeout, spool_dir, flight_dir, flight_events),
-            )
+            future = executor.submit(execute_job, job, machine, *job_args)
             backstop = (
                 timeout + BACKSTOP_GRACE
                 if timeout is not None and timeout > 0
@@ -408,13 +417,7 @@ def run_quarantined(
                 )
             except concurrent.futures.TimeoutError:
                 hung = True
-                return JobResult(
-                    index=job.index,
-                    name=job.name,
-                    status=JOB_TIMEOUT,
-                    error="backstop: worker unresponsive past its budget",
-                    retries=attempt,
-                )
+                return _unresponsive(job, retries=attempt)
             except concurrent.futures.process.BrokenProcessPool:
                 broken = True
         finally:
@@ -436,6 +439,188 @@ def run_quarantined(
             time.sleep(min(5.0, backoff * (2 ** (attempt - 1))))
 
 
+def _emit(progress, kind: str, job: ScheduleJob) -> None:
+    if progress is not None:
+        progress(job_event(kind, job.index, job.name))
+
+
+def _emit_result(progress, result: JobResult) -> None:
+    if progress is not None:
+        progress(result_event(result))
+
+
+def _run_in_process(
+    jobs: Sequence[ScheduleJob], machine, progress, *job_args
+) -> List[JobResult]:
+    """Run jobs one by one in this process (``job_args`` as in execute_job)."""
+    results = []
+    for job in jobs:
+        _emit(progress, KIND_STARTED, job)
+        results.append(execute_job(job, machine, *job_args))
+        _emit_result(progress, results[-1])
+    return results
+
+
+# ----------------------------------------------------------------------
+# Chunked pool: worker-resident machines + per-worker job chunks
+# ----------------------------------------------------------------------
+#: Worker-process-global machine table, installed by the pool
+#: initializer.  Keyed by machine digest; populated once per worker.
+_WORKER_MACHINES: Dict[str, object] = {}
+
+
+def _init_worker(machines_blob: bytes) -> None:
+    """Pool initializer: deserialize the machine table once per worker."""
+    global _WORKER_MACHINES
+    _WORKER_MACHINES = pickle.loads(machines_blob)
+
+
+def _run_chunk(
+    entries: List[Tuple[ScheduleJob, str]], *job_args
+) -> List[JobResult]:
+    """Worker entry point: run (machine-stripped job, digest) pairs."""
+    return [
+        execute_job(job, _WORKER_MACHINES[digest], *job_args)
+        for job, digest in entries
+    ]
+
+
+def _machine_table(
+    jobs: Sequence[ScheduleJob], machine
+) -> Tuple[Dict[str, object], List[str]]:
+    """Digest table covering every job plus the per-job digest list.
+
+    Digests are memoized by object identity, so a thousand jobs sharing
+    one machine object hash it once.
+    """
+    from repro.service.keys import machine_digest
+
+    digest_by_id: Dict[int, str] = {}
+    table: Dict[str, object] = {}
+    refs: List[str] = []
+    for job in jobs:
+        resolved = job.machine if job.machine is not None else machine
+        digest = digest_by_id.get(id(resolved))
+        if digest is None:
+            digest = machine_digest(resolved)
+            digest_by_id[id(resolved)] = digest
+        table.setdefault(digest, resolved)
+        refs.append(digest)
+    return table, refs
+
+
+def _run_pool(
+    jobs: Sequence[ScheduleJob],
+    machine,
+    workers: int,
+    chunk_size: Optional[int],
+    timeout: Optional[float],
+    max_retries: int,
+    backoff: float,
+    spool_dir: Optional[str],
+    progress,
+    flight_dir: Optional[str],
+    flight_events: int,
+    stats: PoolStats,
+) -> List[JobResult]:
+    """Run jobs in chunks on a process pool, down the fault ladder."""
+    job_args = (timeout, spool_dir, flight_dir, flight_events)
+    table, refs = _machine_table(jobs, machine)
+    machines_blob = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
+    # Chunk payloads reference machines by digest only; strip the
+    # per-job machine so it is never pickled twice.
+    entry_of = {
+        job.index: (dataclasses.replace(job, machine=None), ref)
+        for job, ref in zip(jobs, refs)
+    }
+
+    results: Dict[int, JobResult] = {}
+    pending: List[ScheduleJob] = list(jobs)
+    while pending:
+        size = chunk_size or math.ceil(
+            len(pending) / (workers * CHUNKS_PER_WORKER)
+        )
+        chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
+        try:
+            executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(chunks)),
+                initializer=_init_worker,
+                initargs=(machines_blob,),
+            )
+        except (OSError, ValueError, RuntimeError):
+            # Final rung of the ladder: no subprocesses available.
+            stats.fallback_serial = True
+            for result in _run_in_process(pending, machine, progress, *job_args):
+                results[result.index] = result
+            break
+
+        stats.chunks += len(chunks)
+        broken = False
+        hung = False
+        try:
+            futures = {}
+            for chunk in chunks:
+                future = executor.submit(
+                    _run_chunk, [entry_of[job.index] for job in chunk], *job_args
+                )
+                for job in chunk:
+                    _emit(progress, KIND_STARTED, job)
+                futures[future] = chunk
+            backstop = None
+            if timeout is not None and timeout > 0:
+                longest = max(len(chunk) for chunk in chunks)
+                waves = math.ceil(len(chunks) / workers)
+                backstop = (
+                    waves * (longest * timeout + BACKSTOP_GRACE) + BACKSTOP_GRACE
+                )
+            try:
+                for future in concurrent.futures.as_completed(
+                    futures, timeout=backstop
+                ):
+                    try:
+                        chunk_results = future.result()
+                    except concurrent.futures.process.BrokenProcessPool:
+                        broken = True
+                        continue  # other done futures may still hold results
+                    except concurrent.futures.CancelledError:
+                        continue
+                    for result in chunk_results:
+                        results[result.index] = result
+                        _emit_result(progress, result)
+            except concurrent.futures.TimeoutError:
+                # SIGALRM-immune hang: give up on everything unfinished.
+                hung = True
+                for future, chunk in futures.items():
+                    if future.done() and not future.cancelled():
+                        continue  # re-run next round; results are pure
+                    for job in chunk:
+                        if job.index not in results:
+                            results[job.index] = _unresponsive(job)
+                            _emit_result(progress, results[job.index])
+        finally:
+            # Never block on a broken pool or a hung worker; abandoning
+            # the stuck process is the price of finishing the batch.
+            executor.shutdown(wait=not (broken or hung), cancel_futures=True)
+
+        pending = [job for job in jobs if job.index not in results]
+        if pending and broken:
+            # A worker died and took the shared pool with it.  Which job
+            # killed it is unknowable from here, so blame nobody:
+            # quarantine every unfinished job in its own single-worker
+            # pool, where a repeat offender can only crash itself.
+            stats.rebuilds += 1
+            for job in pending:
+                _emit(progress, KIND_QUARANTINED, job)
+                results[job.index] = run_quarantined(
+                    job, machine, timeout, max_retries, backoff, stats,
+                    spool_dir=spool_dir, flight_dir=flight_dir,
+                    flight_events=flight_events,
+                )
+                _emit_result(progress, results[job.index])
+            pending = []
+    return list(results.values())
+
+
 def run_jobs(
     jobs: Sequence[ScheduleJob],
     machine,
@@ -447,25 +632,34 @@ def run_jobs(
     progress=None,
     flight_dir: Optional[str] = None,
     flight_events: int = DEFAULT_FLIGHT_CAPACITY,
+    chunk_size: Optional[int] = None,
 ) -> Tuple[List[JobResult], PoolStats]:
-    """Historical entry point: auto-select a backend and execute.
+    """Run jobs; return submission-ordered results plus pool stats.
 
-    ``workers <= 1`` (or a single job) runs serially in-process; more
-    workers use the per-job process backend.  New callers should go
-    through :func:`repro.service.backends.resolve_backend`, which also
-    offers the chunked backend.
+    ``workers <= 1`` runs every job in-process; more workers use the
+    chunked pool.  ``chunk_size`` fixes the jobs per pool future
+    (default: ``ceil(n / (workers * CHUNKS_PER_WORKER))``).
     """
-    from repro.service.backends import resolve_backend
-
-    backend = resolve_backend("auto", workers=workers, prefer_chunked=False)
-    return backend.run(
-        jobs,
-        machine,
-        timeout=timeout,
-        max_retries=max_retries,
-        backoff=backoff,
-        spool_dir=spool_dir,
-        progress=progress,
-        flight_dir=flight_dir,
-        flight_events=flight_events,
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    started = time.perf_counter()
+    serial = workers <= 1
+    stats = PoolStats(
+        workers=1 if serial else workers,
+        jobs=len(jobs),
+        backend="serial" if serial else "chunked",
+        fallback_serial=serial,
     )
+    if serial or len(jobs) <= 1:
+        results = _run_in_process(
+            jobs, machine, progress, timeout, spool_dir, flight_dir, flight_events
+        )
+    else:
+        results = _run_pool(
+            jobs, machine, workers, chunk_size, timeout, max_retries, backoff,
+            spool_dir, progress, flight_dir, flight_events, stats,
+        )
+    stats.wall_seconds = time.perf_counter() - started
+    ordered = order_results(results)
+    _tally(stats, ordered)
+    return ordered, stats

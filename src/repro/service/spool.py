@@ -1,4 +1,4 @@
-"""Cross-process observability spools for the execution backends.
+"""Cross-process observability spools for the worker pool.
 
 Tracer, profiler and metrics hooks are in-process objects; a worker
 process cannot emit into the parent's instances.  Instead, every

@@ -84,3 +84,18 @@ def clamp_element(cells: List[float], index: float) -> int:
     if position >= len(cells):
         return len(cells) - 1
     return position
+
+
+def values_close(a: float, b: float) -> bool:
+    """Whether two executions agree on one value.
+
+    NaN matches NaN, an infinity only matches itself, and finite values
+    agree within a 1e-8 relative tolerance.
+    """
+    if isinstance(a, bool) or isinstance(b, bool):
+        return bool(a) == bool(b)
+    if math.isnan(a) and math.isnan(b):
+        return True
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))

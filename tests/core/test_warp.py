@@ -1,7 +1,5 @@
 """Tests for the Warp-style hierarchical scheduler (§8 baseline)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +9,12 @@ from repro.core.warp import WarpScheduler, run_warp_attempt
 from repro.frontend import compile_loop
 from repro.ir import build_ddg
 from repro.machine import cydra5
-from repro.simulator import initial_state, run_pipelined, run_sequential
+from repro.simulator import (
+    initial_state,
+    run_pipelined,
+    run_sequential,
+    values_close,
+)
 from repro.workloads import LoopGenerator
 from repro.workloads.livermore import kernel5_tridiag
 
@@ -73,16 +76,6 @@ def test_warp_rejects_infeasible_ii():
         WarpScheduler(loop, MACHINE, ddg, 1, MACHINE.bind_units(loop))
 
 
-def _close(a, b):
-    if isinstance(a, bool) or isinstance(b, bool):
-        return bool(a) == bool(b)
-    if math.isnan(a) and math.isnan(b):
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
-
-
 @given(
     st.integers(min_value=0, max_value=3_000),
     st.sampled_from(["neither", "conditional", "recurrence", "both"]),
@@ -100,10 +93,10 @@ def test_warp_schedules_are_valid_and_correct(seed, klass):
     pipelined = run_pipelined(result.schedule, initial_state(program))
     for name in program.arrays:
         assert all(
-            _close(a, b) for a, b in zip(sequential.arrays[name], pipelined.arrays[name])
+            values_close(a, b) for a, b in zip(sequential.arrays[name], pipelined.arrays[name])
         )
     for name in program.live_out:
-        assert _close(sequential.scalars[name], pipelined.scalars[name])
+        assert values_close(sequential.scalars[name], pipelined.scalars[name])
 
 
 def test_warp_never_beats_mii():

@@ -44,6 +44,24 @@ def test_emit_and_simulate(source_file, capsys):
     assert "matches sequential" in out
 
 
+@pytest.mark.parametrize("index", [154, 174])
+def test_simulate_treats_matching_nans_as_equal(index, tmp_path, capsys):
+    """Both simulators produce NaN in the same cells of these generated
+    recurrences; --simulate must not call that a mismatch."""
+    from repro.frontend import render_loop
+    from repro.workloads import TABLE3_CLASS_COUNTS, generate_corpus_slice
+
+    seed = 1993 + list(TABLE3_CLASS_COUNTS).index("recurrence")
+    program = generate_corpus_slice(seed, index + 1, "recurrence")[index]
+    assert program.name == f"gen_recurrence_{index}"
+    path = tmp_path / f"{program.name}.loop"
+    path.write_text(render_loop(program))
+    assert main([str(path), "--simulate"]) == 0
+    out = capsys.readouterr().out
+    assert "MISMATCH" not in out
+    assert "matches sequential" in out
+
+
 def test_dump_ir(source_file, capsys):
     assert main([source_file, "--dump-ir"]) == 0
     assert "brtop" in capsys.readouterr().out

@@ -213,3 +213,24 @@ def test_error_carries_line_number():
     with pytest.raises(ParseError) as excinfo:
         parse_loop("loop a\narray x\ndo i = 0, 1\nend do")
     assert "line 2" in str(excinfo.value)
+
+
+_HUGE = "9" * 5000  # past int()'s default digit limit
+
+
+@pytest.mark.parametrize(
+    "source,line,fragment",
+    [
+        ("loop a\narray x x64\ndo i = 0, 1\nend do", 2, "invalid array size 'x64'"),
+        ("loop a\nscalar s abc\ndo i = 0, 1\nend do", 2, "invalid scalar value 'abc'"),
+        (f"loop a\ndo i = {_HUGE}, 1\nend do", 2, "invalid loop bound"),
+        (f"loop a\ndo i = 0, {_HUGE}\nend do", 2, "invalid loop bound"),
+        ("loop a\ndo i = 0, 1\nx(i) = x(i-1) + $\nend do", 3, "unexpected character '$'"),
+    ],
+    ids=["array-size", "scalar-value", "loop-start", "loop-end", "lexer"],
+)
+def test_bad_literals_raise_located_parse_errors(source, line, fragment):
+    with pytest.raises(ParseError) as excinfo:
+        parse_loop(source)
+    assert excinfo.value.line == line
+    assert fragment in str(excinfo.value)

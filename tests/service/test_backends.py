@@ -1,48 +1,46 @@
-"""Execution backends: cross-backend determinism, chunking, heterogeneity."""
+"""Execution paths: serial vs pool determinism, chunking, heterogeneity."""
 
 import pytest
 
 from repro.experiments.export import to_json
 from repro.machine import cydra5
-from repro.service.backends import (
-    ChunkedProcessBackend,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-)
 from repro.service.batch import run_batch
+from repro.service.jobs import make_jobs
+from repro.service.pool import run_jobs
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
 N = 6
 
 
-def _corpus_json(backend):
-    report = run_batch(paper_corpus(N), MACHINE, backend=backend, jobs=2)
+def _corpus_json(jobs, chunk_size=None):
+    report = run_batch(paper_corpus(N), MACHINE, jobs=jobs, chunk_size=chunk_size)
     assert report.ok
     assert [r.index for r in report.results] == list(range(N))
     return to_json(report.loop_metrics, drop_timings=True)
 
 
 def test_all_backends_and_chunk_sizes_byte_identical():
-    """The tentpole contract: strategy changes wall-clock, nothing else."""
-    baseline = _corpus_json(SerialBackend())
-    assert _corpus_json(ProcessBackend(2)) == baseline
+    """The execution path changes wall-clock, nothing else."""
+    baseline = _corpus_json(jobs=1)
     for chunk_size in (1, 3, N):
-        assert _corpus_json(ChunkedProcessBackend(2, chunk_size)) == baseline
+        assert _corpus_json(jobs=2, chunk_size=chunk_size) == baseline
 
 
 def test_backend_names_route_through_run_batch():
-    baseline = _corpus_json("serial")
-    assert _corpus_json("process") == baseline
-    assert _corpus_json("chunked") == baseline
-    assert _corpus_json("auto") == baseline
+    """``jobs`` alone picks the path run_batch reports, with one output."""
+    serial = run_batch(paper_corpus(N), MACHINE, jobs=1)
+    pooled = run_batch(paper_corpus(N), MACHINE, jobs=2)
+    assert serial.pool.backend == "serial"
+    assert pooled.pool.backend == "chunked"
+    assert pooled.pool.chunks > 0
+    assert to_json(pooled.loop_metrics, drop_timings=True) == to_json(
+        serial.loop_metrics, drop_timings=True
+    )
 
 
 def test_chunked_reports_backend_and_chunks():
-    report = run_batch(
-        paper_corpus(N), MACHINE, backend="chunked", jobs=2, chunk_size=2
-    )
+    report = run_batch(paper_corpus(N), MACHINE, jobs=2, chunk_size=2)
     assert report.pool.backend == "chunked"
     assert report.pool.chunks == N // 2
     assert f"chunked x2 workers ({N // 2} chunks)" in report.summary()
@@ -54,26 +52,26 @@ def test_serial_backend_used_at_jobs_1():
     assert report.pool.fallback_serial
 
 
-def test_resolve_backend_mapping():
-    assert isinstance(resolve_backend("auto", workers=1), SerialBackend)
-    assert isinstance(resolve_backend("auto", workers=4), ChunkedProcessBackend)
-    assert isinstance(
-        resolve_backend("auto", workers=4, prefer_chunked=False), ProcessBackend
-    )
-    assert isinstance(resolve_backend("serial", workers=4), SerialBackend)
-    assert isinstance(resolve_backend("process", workers=4), ProcessBackend)
-    assert isinstance(resolve_backend("chunked", workers=4), ChunkedProcessBackend)
-    with pytest.raises(ValueError, match="unknown execution backend"):
-        resolve_backend("threads")
+def test_jobs_selects_the_execution_path():
+    jobs = make_jobs(paper_corpus(3))
+    _, stats = run_jobs(jobs, MACHINE, workers=1)
+    assert (stats.backend, stats.workers, stats.chunks) == ("serial", 1, 0)
+    assert stats.fallback_serial
+    _, stats = run_jobs(jobs, MACHINE, workers=4)
+    assert (stats.backend, stats.workers, stats.chunks) == ("chunked", 4, 3)
+    assert not stats.fallback_serial
+    # A lone job runs in-process but is still reported as the pool's.
+    _, stats = run_jobs(jobs[:1], MACHINE, workers=4)
+    assert (stats.backend, stats.chunks) == ("chunked", 0)
+    assert not stats.fallback_serial
     with pytest.raises(ValueError, match="chunk_size"):
-        ChunkedProcessBackend(2, chunk_size=0)
+        run_jobs(jobs, MACHINE, workers=2, chunk_size=0)
 
 
 def test_fault_in_one_chunk_keeps_order_and_chunkmates():
     report = run_batch(
         paper_corpus(4),
         MACHINE,
-        backend="chunked",
         jobs=2,
         chunk_size=2,
         timeout=30,
@@ -91,9 +89,7 @@ def test_per_job_machines_through_chunked_backend():
     """One batch, two machines: each job scheduled under its own latency."""
     programs = paper_corpus(6) * 2
     machines = [cydra5(load_latency=2)] * 6 + [cydra5(load_latency=27)] * 6
-    report = run_batch(
-        programs, machines=machines, backend="chunked", jobs=2, chunk_size=1
-    )
+    report = run_batch(programs, machines=machines, jobs=2, chunk_size=1)
     assert report.ok
     fast = [m.ii for m in report.loop_metrics[:6]]
     slow = [m.ii for m in report.loop_metrics[6:]]
@@ -107,15 +103,15 @@ def test_heterogeneous_batch_identical_across_backends():
     programs = paper_corpus(3) * 2
     machines = [cydra5(load_latency=2)] * 3 + [cydra5(load_latency=27)] * 3
 
-    def run(backend):
+    def run(jobs, chunk_size=None):
         report = run_batch(
-            programs, machines=machines, backend=backend, jobs=2
+            programs, machines=machines, jobs=jobs, chunk_size=chunk_size
         )
         return to_json(report.loop_metrics, drop_timings=True)
 
-    baseline = run("serial")
-    assert run("process") == baseline
-    assert run("chunked") == baseline
+    baseline = run(jobs=1)
+    assert run(jobs=2, chunk_size=1) == baseline
+    assert run(jobs=2) == baseline
 
 
 def test_heterogeneous_jobs_get_distinct_cache_keys(tmp_path):

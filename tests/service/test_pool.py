@@ -43,7 +43,9 @@ def test_parallel_matches_serial_byte_for_byte():
 
 def test_timeout_reported_without_losing_batch():
     jobs = make_jobs(_corpus(4), faults={1: "hang:30"})
-    results, stats = run_jobs(jobs, MACHINE, workers=2, timeout=1.0)
+    results, stats = run_jobs(
+        jobs, MACHINE, workers=2, timeout=1.0, chunk_size=1
+    )
     assert results[1].status == JOB_TIMEOUT
     assert "budget" in results[1].error
     others = [r for r in results if r.index != 1]
@@ -54,7 +56,8 @@ def test_timeout_reported_without_losing_batch():
 def test_crash_quarantined_others_survive():
     jobs = make_jobs(_corpus(4), faults={2: "crash"})
     results, stats = run_jobs(
-        jobs, MACHINE, workers=2, timeout=20.0, max_retries=1, backoff=0.01
+        jobs, MACHINE, workers=2, timeout=20.0, max_retries=1, backoff=0.01,
+        chunk_size=1,
     )
     assert results[2].status == JOB_CRASHED
     assert "worker died" in results[2].error
@@ -67,7 +70,9 @@ def test_crash_quarantined_others_survive():
 
 def test_raise_is_failed_not_crashed():
     jobs = make_jobs(_corpus(3), faults={0: "raise"})
-    results, stats = run_jobs(jobs, MACHINE, workers=2, timeout=20.0)
+    results, stats = run_jobs(
+        jobs, MACHINE, workers=2, timeout=20.0, chunk_size=1
+    )
     assert results[0].status == JOB_FAILED
     assert "injected fault" in results[0].error
     assert stats.failed == 1 and stats.ok == 2
@@ -82,7 +87,7 @@ def test_unavailable_pool_degrades_to_serial(monkeypatch):
     )
     jobs = make_jobs(_corpus(3))
     results, stats = run_jobs(jobs, MACHINE, workers=4)
-    assert stats.fallback_serial
+    assert stats.fallback_serial and stats.backend == "chunked"
     assert all(r.status == JOB_OK for r in results)
 
 

@@ -1,4 +1,4 @@
-"""Progress through the service: backend parity, CLI streams, LRU GC."""
+"""Progress through the service: serial/pool parity, CLI streams, LRU GC."""
 
 import json
 import sys
@@ -21,24 +21,25 @@ from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
 N = 6
-BACKENDS = ("serial", "process", "chunked")
+#: (jobs, chunk_size): serial, one job per pool chunk, multi-job chunks.
+PATHS = ((1, None), (2, 1), (2, 3))
 
 
-def _events(backend, **kwargs):
+def _events(jobs=2, chunk_size=None, **kwargs):
     sink = CollectingProgress()
     report = run_batch(
-        paper_corpus(N), MACHINE, backend=backend, jobs=2,
+        paper_corpus(N), MACHINE, jobs=jobs, chunk_size=chunk_size,
         use_cache=False, progress=sink, **kwargs,
     )
     return report, sink.events
 
 
 def test_every_backend_emits_identical_lifecycle_sequences():
-    """The parity contract: serial, process and chunked runs differ only
-    in timestamps and cross-job interleaving."""
+    """The parity contract: serial and pooled runs, at any chunk size,
+    differ only in timestamps and cross-job interleaving."""
     sequences = []
-    for backend in BACKENDS:
-        report, events = _events(backend)
+    for jobs, chunk_size in PATHS:
+        report, events = _events(jobs, chunk_size)
         assert report.ok
         sequences.append(lifecycle_sequence(events))
     assert sequences[0] == sequences[1] == sequences[2]
@@ -49,7 +50,7 @@ def test_every_backend_emits_identical_lifecycle_sequences():
 
 
 def test_submitted_events_arrive_in_index_order():
-    _, events = _events("serial")
+    _, events = _events(jobs=1)
     submitted = [e.job for e in events if e.kind == KIND_SUBMITTED]
     assert submitted == list(range(N))
     # Timestamps never go backwards within the emission stream.
@@ -70,9 +71,11 @@ def test_cache_hits_emit_cached_without_started(tmp_path):
     }
 
 
-@pytest.mark.parametrize("backend", ["process", "chunked"])
-def test_crashed_job_emits_quarantined_then_terminal(backend):
-    report, events = _events(backend, faults={2: "crash"}, max_retries=0)
+@pytest.mark.parametrize("chunk_size", [1, 3], ids=["per-job", "chunked"])
+def test_crashed_job_emits_quarantined_then_terminal(chunk_size):
+    report, events = _events(
+        chunk_size=chunk_size, faults={2: "crash"}, max_retries=0
+    )
     sequences = lifecycle_sequence(events)
     assert sequences[2][0] == KIND_SUBMITTED
     assert KIND_QUARANTINED in sequences[2]

@@ -35,8 +35,7 @@ def test_trace_parity_serial_vs_chunked():
     programs = paper_corpus(5)
     serial = run_batch(programs, MACHINE, jobs=1, collect_trace=True)
     chunked = run_batch(
-        programs, MACHINE, jobs=3, backend="chunked", chunk_size=2,
-        collect_trace=True,
+        programs, MACHINE, jobs=3, chunk_size=2, collect_trace=True
     )
     assert serial.trace_records and chunked.trace_records
     assert _records_without_ts(serial.trace_records) == _records_without_ts(
@@ -47,22 +46,20 @@ def test_trace_parity_serial_vs_chunked():
     assert first["job"] == 0 and first["seq"] == 0 and first["loop"]
 
 
-def test_trace_parity_process_backend():
+def test_trace_parity_per_job_chunks():
     programs = paper_corpus(4)
     serial = run_batch(programs, MACHINE, jobs=1, collect_trace=True)
-    process = run_batch(
-        programs, MACHINE, jobs=2, backend="process", collect_trace=True
+    per_job = run_batch(
+        programs, MACHINE, jobs=2, chunk_size=1, collect_trace=True
     )
     assert _records_without_ts(serial.trace_records) == _records_without_ts(
-        process.trace_records
+        per_job.trace_records
     )
 
 
 def test_session_tracer_receives_merged_events_across_processes():
     tracer = CollectingTracer()
-    report = run_batch(
-        paper_corpus(3), MACHINE, jobs=2, backend="chunked", tracer=tracer
-    )
+    report = run_batch(paper_corpus(3), MACHINE, jobs=2, tracer=tracer)
     assert report.spool.merged == 3
     assert len(tracer.events) == report.spool.events > 0
 
@@ -72,7 +69,7 @@ def test_worker_metrics_and_profile_cross_process_boundary():
     registry = MetricsRegistry()
     profiler = Profiler()
     run_batch(
-        paper_corpus(3), MACHINE, jobs=2, backend="chunked",
+        paper_corpus(3), MACHINE, jobs=2,
         metrics=registry, profiler=profiler, collect_trace=True,
     )
     snapshot = registry.snapshot()

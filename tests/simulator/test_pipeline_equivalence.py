@@ -9,8 +9,6 @@ dependence analysis, load/store elimination), the bounds, the scheduler
 (including backtracking) and the executor together.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,20 +17,15 @@ from repro.core import modulo_schedule, validate_schedule
 from repro.frontend import compile_loop
 from repro.ir import build_ddg
 from repro.machine import cydra5
-from repro.simulator import initial_state, run_pipelined, run_sequential
+from repro.simulator import (
+    initial_state,
+    run_pipelined,
+    run_sequential,
+    values_close,
+)
 from repro.workloads import LoopGenerator, named_kernels
 
 MACHINE = cydra5()
-
-
-def _close(a: float, b: float) -> bool:
-    if isinstance(a, bool) or isinstance(b, bool):
-        return bool(a) == bool(b)
-    if math.isnan(a) and math.isnan(b):
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
 
 
 def assert_equivalent(program, algorithm="slack", allow_failure=False, **compile_kwargs):
@@ -52,12 +45,12 @@ def assert_equivalent(program, algorithm="slack", allow_failure=False, **compile
         for position, (a, b) in enumerate(
             zip(sequential.arrays[name], pipelined.arrays[name])
         ):
-            assert _close(a, b), (
+            assert values_close(a, b), (
                 f"{program.name}: {name}[{position}] = {a} sequential vs {b} pipelined"
             )
     for name in program.live_out:
         a, b = sequential.scalars[name], pipelined.scalars[name]
-        assert _close(a, b), f"{program.name}: scalar {name} = {a} vs {b}"
+        assert values_close(a, b), f"{program.name}: scalar {name} = {a} vs {b}"
     return result
 
 

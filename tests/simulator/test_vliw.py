@@ -4,8 +4,6 @@ compile -> schedule -> allocate rotating registers -> generate kernel
 -> run the kernel on rotating register files == sequential execution.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,21 +14,11 @@ from repro.frontend import compile_loop
 from repro.ir import build_ddg
 from repro.machine import cydra5
 from repro.regalloc import allocate_registers
-from repro.simulator import initial_state, run_sequential
+from repro.simulator import initial_state, run_sequential, values_close
 from repro.simulator.vliw import run_vliw
 from repro.workloads import LoopGenerator, named_kernels
 
 MACHINE = cydra5()
-
-
-def _close(a, b):
-    if isinstance(a, bool) or isinstance(b, bool):
-        return bool(a) == bool(b)
-    if math.isnan(a) and math.isnan(b):
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
 
 
 def assert_vliw_equivalent(program):
@@ -45,11 +33,11 @@ def assert_vliw_equivalent(program):
         for position, (a, b) in enumerate(
             zip(sequential.arrays[name], register_level.arrays[name])
         ):
-            assert _close(a, b), f"{program.name}: {name}[{position}] {a} vs {b}"
+            assert values_close(a, b), f"{program.name}: {name}[{position}] {a} vs {b}"
     for name in program.live_out:
         a = sequential.scalars[name]
         b = register_level.scalars[name]
-        assert _close(a, b), f"{program.name}: scalar {name} {a} vs {b}"
+        assert values_close(a, b), f"{program.name}: scalar {name} {a} vs {b}"
 
 
 @pytest.mark.parametrize("program", named_kernels(), ids=lambda p: p.name)
