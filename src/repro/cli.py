@@ -35,9 +35,9 @@ threshold (see ``repro.obs.bench`` / ``repro.obs.regress``).
 
 The ``batch`` subcommand schedules corpora as a service: ``--jobs``
 picks serial in-process execution (1, the default) or the chunked
-worker pool, a content-addressed result cache in either a fan-out
-directory (``--cache-dir``) or a single sqlite file (``--cache-db``),
-cache eviction (``--gc --max-cache-bytes/--max-cache-age``),
+worker pool, a content-addressed result cache in a single sqlite
+file (``--cache-db``, default ``.repro-cache/results.sqlite``), cache
+eviction (``--gc --max-cache-bytes/--max-cache-age``),
 heterogeneous machine sweeps (``--sweep-load-latency 2,13,27``), and a
 merged cross-process scheduler trace (``--trace``) that is identical at
 any ``--jobs`` level.
@@ -48,7 +48,8 @@ canonical JSON responses, a shared result cache over HTTP
 (``GET/PUT /v1/cache/<key>``, ETag conditional gets, optional bearer
 auth), and ``/healthz`` + ``/metricz`` probes.  ``batch --cache-url``
 points any batch run at that shared warm cache, with graceful
-degradation to a local directory cache when the server is down.
+degradation to the local ``--cache-db`` database when the server is
+down.
 
 The ``history`` subcommand keeps an append-only sqlite store of bench
 envelopes and batch summaries: ``record`` ingests BENCH_*.json files,

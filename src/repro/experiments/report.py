@@ -27,23 +27,20 @@ def full_report(
     seed: int = 1993,
     options: Optional[SchedulerOptions] = None,
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
 ) -> str:
     """Render Tables 2-4, Figures 5-8 and the §6 statistics as one string.
 
-    ``jobs``/``cache_dir`` route the two corpus measurements through the
-    batch scheduling service (parallel workers + content-addressed
-    result cache); the rendered output is identical either way.
+    ``jobs`` > 1 routes the two corpus measurements through the batch
+    scheduling service's worker pool; the rendered output is identical
+    either way.
     """
     machine = machine or cydra5()
     loops = paper_corpus(n, seed=seed)
     new = run_corpus(
-        loops, machine, algorithm="slack", options=options,
-        jobs=jobs, cache_dir=cache_dir,
+        loops, machine, algorithm="slack", options=options, jobs=jobs,
     )
     old = run_corpus(
-        loops, machine, algorithm="cydrome", options=options,
-        jobs=jobs, cache_dir=cache_dir,
+        loops, machine, algorithm="cydrome", options=options, jobs=jobs,
     )
 
     sections = [

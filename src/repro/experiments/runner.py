@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.bounds import (
     MinDist,
@@ -24,6 +24,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof import Profiler
 from repro.obs.trace import Tracer
 from repro.experiments.metrics import LoopMetrics
+
+if TYPE_CHECKING:
+    from repro.service.cache import CacheBackend
 
 
 def classify(loop: LoopBody, ddg, rec_mii: int) -> str:
@@ -145,17 +148,16 @@ def run_corpus(
     metrics: Optional[MetricsRegistry] = None,
     profiler: Optional[Profiler] = None,
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    cache_db: Optional[str] = None,
+    cache: Optional[CacheBackend] = None,
     timeout: Optional[float] = None,
     machines=None,
 ) -> List[LoopMetrics]:
     """Measure a whole corpus with one scheduler configuration.
 
-    ``jobs`` > 1, a cache location or per-loop ``machines`` routes the
+    ``jobs`` > 1, an open ``cache`` or per-loop ``machines`` routes the
     corpus through the batch scheduling service (:mod:`repro.service`):
     worker processes, per-job ``timeout``, and a content-addressed
-    result cache (directory or sqlite).  The service
+    result cache (the caller opens and closes it).  The service
     path returns metrics in the same order with identical values.
     ``tracer``/``profiler`` hooks cross process boundaries via per-job
     spool files merged in submission order, so observability is
@@ -163,12 +165,7 @@ def run_corpus(
     additionally receives ``service.*`` aggregates.
     """
     machine = machine or cydra5()
-    use_service = (
-        jobs != 1
-        or cache_dir is not None
-        or cache_db is not None
-        or machines is not None
-    )
+    use_service = jobs != 1 or cache is not None or machines is not None
     if use_service:
         from repro.service import run_batch
 
@@ -179,8 +176,7 @@ def run_corpus(
             options=options,
             jobs=jobs,
             timeout=timeout,
-            cache_dir=cache_dir,
-            cache_db=cache_db,
+            cache=cache,
             metrics=metrics,
             machines=machines,
             tracer=tracer,
@@ -228,8 +224,6 @@ def run_corpus_sweep(
     options: Optional[SchedulerOptions] = None,
     metrics: Optional[MetricsRegistry] = None,
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    cache_db: Optional[str] = None,
     timeout: Optional[float] = None,
 ) -> List[List[LoopMetrics]]:
     """Measure one corpus under several machines as ONE heterogeneous batch.
@@ -239,7 +233,8 @@ def run_corpus_sweep(
     but submitted as a single batch so the worker pool interleaves
     work across configurations (and the worker-resident machine cache
     holds every machine at once).  Each (program, machine) pair keeps
-    its own cache key, so sweeps are warm-cacheable per configuration.
+    its own cache key, so the same grid through a cached
+    :func:`repro.service.run_batch` is warm-cacheable per configuration.
     """
     programs = list(programs)
     machines = list(machines)
@@ -250,8 +245,6 @@ def run_corpus_sweep(
         options=options,
         metrics=metrics,
         jobs=jobs,
-        cache_dir=cache_dir,
-        cache_db=cache_db,
         timeout=timeout,
         machines=flat_machines,
     )

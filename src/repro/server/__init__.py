@@ -16,7 +16,7 @@ slack scheduler over a small JSON protocol:
 The client half, :class:`repro.server.httpcache.HTTPCache`, implements
 the :class:`repro.service.cache.CacheBackend` protocol so
 ``repro batch --cache-url`` lets many clients and CI shards share one
-warm cache, degrading gracefully to a local directory cache when the
+warm cache, degrading gracefully to the local sqlite cache when the
 server is unreachable.
 """
 

@@ -4,9 +4,9 @@ A stdlib-only, long-lived ``ThreadingHTTPServer`` serving the wire
 protocol in :mod:`repro.server.protocol`.  Design points:
 
 - **One shared cache, many request threads.**  The server owns a
-  single :class:`~repro.service.cache.CacheBackend` (directory or WAL
-  sqlite) behind a lock (:class:`LockedCache`), so every client — and
-  the ``/v1/batch`` path, which runs the whole existing
+  single WAL-mode :class:`~repro.service.cache.SQLiteCache` behind a
+  lock (:class:`LockedCache`), so every client — and the ``/v1/batch``
+  path, which runs the whole existing
   :func:`repro.service.batch.run_batch` machinery against it — sees
   one warm cache.
 - **Deterministic bodies.**  Responses are canonical JSON
@@ -45,9 +45,10 @@ from repro.canonical import canonical_bytes, canonical_dump
 from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
 from repro.service.cache import (
+    DEFAULT_CACHE_DB,
     CacheBackend,
     CacheEntry,
-    DirectoryCache,
+    CacheOpenError,
     SQLiteCache,
     metrics_to_payload,
     payload_to_metrics,
@@ -72,8 +73,7 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT  # 0 = ephemeral (the OS picks; see .url)
-    cache_dir: Optional[str] = None
-    cache_db: Optional[str] = None
+    cache_db: Optional[str] = None  # None = serve without a cache
     auth_token: Optional[str] = None
     jobs: int = 1  # /v1/batch worker processes
     job_timeout: Optional[float] = None  # /v1/batch per-job budget
@@ -84,9 +84,9 @@ class ServerConfig:
 class LockedCache(CacheBackend):
     """Serialize any CacheBackend for many request threads.
 
-    The underlying backends are process-safe (atomic renames, WAL) but
-    not thread-safe: ``CacheStats`` increments race and one sqlite
-    connection must not be used concurrently.  One lock around every
+    The sqlite store is process-safe (WAL) but not thread-safe:
+    ``CacheStats`` increments race and one sqlite connection must not be
+    used concurrently.  One lock around every
     operation keeps the hot path simple; scheduling dominates request
     time, so the serialization is invisible next to it.
     """
@@ -124,15 +124,11 @@ class LockedCache(CacheBackend):
 
 
 def _open_server_cache(config: ServerConfig) -> Optional[CacheBackend]:
-    if config.cache_dir is not None and config.cache_db is not None:
-        raise ValueError("pass either cache_dir or cache_db, not both")
-    if config.cache_db is not None:
-        # One connection shared across request threads, serialized by
-        # the LockedCache wrapper.
-        return LockedCache(SQLiteCache(config.cache_db, threadsafe=True))
-    if config.cache_dir is not None:
-        return LockedCache(DirectoryCache(config.cache_dir))
-    return None
+    if config.cache_db is None:
+        return None
+    # One connection shared across request threads, serialized by the
+    # LockedCache wrapper.
+    return LockedCache(SQLiteCache(config.cache_db, threadsafe=True))
 
 
 class ScheduleServer(ThreadingHTTPServer):
@@ -396,7 +392,6 @@ class _Handler(BaseHTTPRequestHandler):
             jobs=config.jobs,
             timeout=config.job_timeout,
             cache=cache,
-            use_cache=cache is not None,
         )
         cache_delta = None
         if cache is not None and before is not None:
@@ -500,15 +495,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help=f"TCP port; 0 picks an ephemeral port (default {DEFAULT_PORT})",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="directory result cache root (default .repro-cache; mutually "
-        "exclusive with --cache-db)",
-    )
-    parser.add_argument(
         "--cache-db",
+        default=DEFAULT_CACHE_DB,
         metavar="PATH",
-        help="single-file sqlite result cache (WAL mode)",
+        help=f"single-file sqlite result cache (WAL mode; default "
+        f"{DEFAULT_CACHE_DB})",
     )
     parser.add_argument(
         "--no-cache", action="store_true", help="serve without any cache"
@@ -545,21 +536,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
     args = build_serve_parser().parse_args(argv)
-    if args.cache_dir is not None and args.cache_db is not None:
-        print(
-            "error: pass either --cache-dir or --cache-db, not both",
-            file=sys.stderr,
-        )
-        return 2
-    cache_dir = args.cache_dir
-    if args.no_cache:
-        cache_dir = cache_db = None
-    else:
-        cache_db = args.cache_db
-        if cache_dir is None and cache_db is None:
-            from repro.service.batch import DEFAULT_CACHE_DIR
-
-            cache_dir = DEFAULT_CACHE_DIR
     if args.jobs < 1:
         print("error: --jobs must be positive", file=sys.stderr)
         return 2
@@ -567,8 +543,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        cache_dir=cache_dir,
-        cache_db=cache_db,
+        cache_db=None if args.no_cache else args.cache_db,
         auth_token=args.auth_token,
         jobs=args.jobs,
         job_timeout=args.job_timeout,
@@ -576,6 +551,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     )
     try:
         server = ScheduleServer(config)
+    except CacheOpenError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as error:
         print(f"error: cannot bind {args.host}:{args.port}: {error}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """The ``server`` bench scenario: the daemon under concurrent clients.
 
 Boots a real :class:`repro.server.app.ScheduleServer` (in-process, on
-an ephemeral port, with a fresh directory cache) and drives it with
+an ephemeral port, with a fresh sqlite cache) and drives it with
 ``clients`` concurrent threads, each a :class:`repro.server.httpcache
 .ServerClient`, over the paper corpus rendered back to loop-DSL
 sources:
@@ -23,6 +23,7 @@ every other scenario.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import tempfile
 import threading
@@ -140,7 +141,11 @@ def run_server_bench(
     warm_walls: List[float] = []
     warm_latencies: List[float] = []
     try:
-        config = ServerConfig(host="127.0.0.1", port=0, cache_dir=cache_root)
+        config = ServerConfig(
+            host="127.0.0.1",
+            port=0,
+            cache_db=os.path.join(cache_root, "results.sqlite"),
+        )
         with running_server(config) as server:
             url = server.url
 

@@ -1,4 +1,4 @@
-"""Batch scheduling service: one execution path + multi-backend cache.
+"""Batch scheduling service: one execution path + one result cache.
 
 The scheduler itself is a pure function from ``(loop, machine,
 algorithm, options)`` to a schedule, which makes it an ideal service
@@ -10,9 +10,9 @@ measure_loop` into exactly that service:
 - :mod:`repro.service.keys` — canonical, ``PYTHONHASHSEED``-independent
   serialization of a scheduling request into a stable SHA-256 cache key
   (programs, options, and whole machine descriptions);
-- :mod:`repro.service.cache` — the :class:`CacheBackend` protocol with
-  two content-addressed stores (fan-out directory, single-file sqlite
-  in WAL mode), plus one garbage collector written against the
+- :mod:`repro.service.cache` — the :class:`CacheBackend` protocol and
+  its one local store, a content-addressed single-file sqlite database
+  in WAL mode, plus one garbage collector written against the
   protocol;
 - :mod:`repro.service.jobs` — job/result records with an explicit
   status (``ok | failed | timeout | crashed | cached``), optional
@@ -33,10 +33,9 @@ measure_loop` into exactly that service:
 from repro.service.cache import (
     CacheBackend,
     CacheEntry,
+    CacheOpenError,
     CacheStats,
-    DirectoryCache,
     GCReport,
-    ResultCache,
     SQLiteCache,
     collect_garbage,
     open_cache,
@@ -69,10 +68,9 @@ from repro.service.batch import BatchReport, batch_main, run_batch
 __all__ = [
     "CacheBackend",
     "CacheEntry",
+    "CacheOpenError",
     "CacheStats",
-    "DirectoryCache",
     "GCReport",
-    "ResultCache",
     "SQLiteCache",
     "collect_garbage",
     "open_cache",

@@ -2,13 +2,14 @@
 
 API::
 
-    from repro.service import run_batch
-    report = run_batch(programs, jobs=4, cache_dir=".repro-cache")
+    from repro.service import SQLiteCache, run_batch
+    cache = SQLiteCache(".repro-cache/results.sqlite")
+    report = run_batch(programs, jobs=4, cache=cache)
     report.loop_metrics          # ordered exactly like the serial path
 
     # heterogeneous sweep: one batch, per-job machines, distinct keys
-    report = run_batch(programs * 3, machines=machines, jobs=4,
-                       cache_db="results.sqlite")
+    report = run_batch(programs * 3, machines=machines, jobs=4, cache=cache)
+    cache.close()                # the caller owns the cache it opened
 
 CLI::
 
@@ -33,9 +34,11 @@ results without touching a worker, misses are scheduled and written
 back.  Because the scheduler is deterministic and the cache key covers
 every input (see :mod:`repro.service.keys`), a warm rerun returns
 byte-identical metrics — including the original run's timing fields —
-at cache-read speed.  Two storage backends are available behind one
-protocol: a fan-out directory (``--cache-dir``) and a single-file
-sqlite database (``--cache-db``, WAL mode, shareable across CI runs).
+at cache-read speed.  ``run_batch`` takes an already-open
+:class:`~repro.service.cache.CacheBackend` and never opens or closes
+one; the CLI opens a single-file sqlite database (``--cache-db``, WAL
+mode, shareable across CI runs), optionally behind a ``repro serve``
+daemon's shared cache (``--cache-url``).
 
 Tracer/profiler hooks cross process boundaries via per-job JSONL spool
 files merged in submission order (:mod:`repro.service.spool`), so
@@ -68,8 +71,11 @@ from repro.obs.progress import (
     result_event,
 )
 from repro.service.cache import (
+    DEFAULT_CACHE_DB,
     CacheBackend,
+    CacheOpenError,
     CacheStats,
+    SQLiteCache,
     collect_garbage,
     open_cache,
 )
@@ -89,10 +95,6 @@ from repro.service.spool import (
     record_spool_stats,
     write_trace_records,
 )
-
-#: Default on-disk cache location for the CLI (API default is no cache).
-DEFAULT_CACHE_DIR = ".repro-cache"
-
 
 @dataclasses.dataclass
 class BatchReport:
@@ -255,13 +257,7 @@ def run_batch(
     options=None,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    cache_dir: Optional[str] = None,
-    cache_db: Optional[str] = None,
-    cache_url: Optional[str] = None,
-    cache_fallback_dir: Optional[str] = None,
-    cache_auth_token: Optional[str] = None,
     cache: Optional[CacheBackend] = None,
-    use_cache: bool = True,
     metrics=None,
     max_retries: int = 2,
     faults: Optional[Dict[int, str]] = None,
@@ -282,23 +278,10 @@ def run_batch(
         jobs: Worker processes; 1 (the default) runs serially in-process,
             more run on the chunked process pool.
         timeout: Per-job wall-clock budget in seconds (None = unlimited).
-        cache_dir: Root of a directory result cache; mutually exclusive
-            with ``cache_db`` and ``cache_url``.  All three None (and no
-            ``cache`` instance) disables caching entirely.
-        cache_db: Path of a single-file sqlite result cache (WAL mode).
-        cache_url: Base URL of a ``repro serve`` daemon; results are
-            read from and written to its shared cache over HTTP
-            (see :class:`repro.server.httpcache.HTTPCache`).
-        cache_fallback_dir: Local directory the HTTP cache degrades to
-            when the server is unreachable (``cache_url`` only).
-        cache_auth_token: Bearer token for ``cache_url``.
-        cache: An already-open :class:`CacheBackend` instance to use
-            directly; the caller owns its lifecycle (it is not closed
-            here).  Mutually exclusive with the location arguments —
-            this is how the server's ``/v1/batch`` endpoint runs
-            batches against its own shared, locked cache.
-        use_cache: Set False to bypass reads *and* writes even when a
-            cache location is set.
+        cache: An already-open :class:`CacheBackend` consulted before
+            the pool and written back after it (None, the default,
+            disables caching entirely).  The caller owns its lifecycle:
+            it is never opened or closed here.
         metrics: Optional :class:`repro.obs.MetricsRegistry`; receives
             ``service.*`` counters/gauges/timers (plus merged worker
             registries when tracing/profiling is on).
@@ -366,17 +349,6 @@ def run_batch(
 
     cached_results: List[JobResult] = []
     pending: List[ScheduleJob] = all_jobs
-    owns_cache = cache is None
-    if not use_cache:
-        cache = None
-    elif cache is None:
-        cache = open_cache(
-            cache_dir=cache_dir,
-            cache_db=cache_db,
-            cache_url=cache_url,
-            cache_fallback_dir=cache_fallback_dir,
-            auth_token=cache_auth_token,
-        )
     if cache is not None:
         pending = []
         for job in all_jobs:
@@ -461,8 +433,6 @@ def run_batch(
     _record_metrics(metrics, report)
     if spool_stats is not None:
         record_spool_stats(metrics, spool_stats)
-    if cache is not None and owns_cache:
-        cache.close()
     return report
 
 
@@ -559,7 +529,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro batch",
         description="Schedule a corpus or loop files in parallel, with a "
-        "content-addressed result cache (directory or sqlite).",
+        "content-addressed sqlite result cache.",
     )
     parser.add_argument(
         "sources",
@@ -590,33 +560,19 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="per-job wall-clock budget (default: unlimited)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=f"directory result cache root (default {DEFAULT_CACHE_DIR}; "
-        "mutually exclusive with --cache-db)",
-    )
-    parser.add_argument(
         "--cache-db",
-        default=None,
+        default=DEFAULT_CACHE_DB,
         metavar="PATH",
         help="single-file sqlite result cache (WAL mode, shareable "
-        "across runs; mutually exclusive with --cache-dir)",
+        f"across runs; default {DEFAULT_CACHE_DB})",
     )
     parser.add_argument(
         "--cache-url",
         default=None,
         metavar="URL",
-        help="share a `repro serve` daemon's warm result cache over HTTP "
-        "(mutually exclusive with --cache-dir/--cache-db); degrades to "
-        "--cache-fallback-dir when the server is unreachable",
-    )
-    parser.add_argument(
-        "--cache-fallback-dir",
-        default=None,
-        metavar="DIR",
-        help="local directory cache used when --cache-url is unreachable "
-        f"(default {DEFAULT_CACHE_DIR}; requires --cache-url)",
+        help="share a `repro serve` daemon's warm result cache over HTTP; "
+        "degrades to the --cache-db database when the server is "
+        "unreachable",
     )
     parser.add_argument(
         "--cache-auth-token",
@@ -641,8 +597,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         choices=("oldest", "lru"),
         default="oldest",
         help="gc eviction order: oldest (creation time) or lru (last "
-        "access; sqlite records reads, directory caches approximate "
-        "with file mtime)",
+        "access, recorded on every cache hit)",
     )
     parser.add_argument(
         "--max-cache-bytes",
@@ -778,20 +733,27 @@ def build_batch_parser() -> argparse.ArgumentParser:
 
 
 def _gc_main(args) -> int:
-    """``batch --gc``: evict against whichever cache backend is configured."""
-    cache_dir = args.cache_dir
-    if cache_dir is None and args.cache_db is None:
-        cache_dir = DEFAULT_CACHE_DIR
+    """``batch --gc``: evict from the ``--cache-db`` database."""
     try:
         max_bytes = parse_size(args.max_cache_bytes) if args.max_cache_bytes else None
         max_age = parse_age(args.max_cache_age) if args.max_cache_age else None
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if cache_dir is not None and not os.path.isdir(cache_dir):
-        print(f"error: no cache at {cache_dir}", file=sys.stderr)
+    # Opening would create an empty database; a missing one is an error.
+    # Other stat failures fall through so the open names the cause.
+    try:
+        os.stat(args.cache_db)
+    except FileNotFoundError:
+        print(f"error: no cache at {args.cache_db}", file=sys.stderr)
         return 2
-    cache = open_cache(cache_dir=cache_dir, cache_db=args.cache_db)
+    except OSError:
+        pass
+    try:
+        cache = open_cache(args.cache_db)
+    except CacheOpenError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         report = collect_garbage(
             cache, max_bytes=max_bytes, max_age_seconds=max_age,
@@ -810,27 +772,6 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     args = build_batch_parser().parse_args(argv)
     from repro.core import ALGORITHMS
 
-    cache_locations = [
-        flag
-        for flag, value in (
-            ("--cache-dir", args.cache_dir),
-            ("--cache-db", args.cache_db),
-            ("--cache-url", args.cache_url),
-        )
-        if value is not None
-    ]
-    if len(cache_locations) > 1:
-        print(
-            f"error: pass at most one of {', '.join(cache_locations)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.cache_fallback_dir is not None and args.cache_url is None:
-        print(
-            "error: --cache-fallback-dir requires --cache-url",
-            file=sys.stderr,
-        )
-        return 2
     if args.gc:
         return _gc_main(args)
     if args.algorithm not in ALGORITHMS:
@@ -906,17 +847,6 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     if sweep_machines is not None:
         programs, machines = sweep_layout(programs, sweep_machines)
 
-    cache_dir = args.cache_dir
-    cache_fallback_dir = None
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_url is not None:
-        # HTTP cache; degrade to a local directory cache when the
-        # server is unreachable so the batch always completes.
-        cache_fallback_dir = args.cache_fallback_dir or DEFAULT_CACHE_DIR
-    elif cache_dir is None and args.cache_db is None:
-        cache_dir = DEFAULT_CACHE_DIR
-
     if args.straggler_factor <= 1.0:
         print("error: --straggler-factor must exceed 1.0", file=sys.stderr)
         return 2
@@ -949,6 +879,15 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
 
         profiler = Profiler()
 
+    cache = None
+    if not args.no_cache:
+        # With --cache-url the local database is the fallback that keeps
+        # the batch warm (and complete) when the server is unreachable.
+        try:
+            cache = open_cache(args.cache_db, args.cache_url, args.cache_auth_token)
+        except CacheOpenError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     try:
         report = run_batch(
             programs,
@@ -956,11 +895,7 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             algorithm=args.algorithm,
             jobs=args.jobs,
             timeout=args.timeout,
-            cache_dir=cache_dir,
-            cache_db=None if args.no_cache else args.cache_db,
-            cache_url=None if args.no_cache else args.cache_url,
-            cache_fallback_dir=cache_fallback_dir,
-            cache_auth_token=args.cache_auth_token,
+            cache=cache,
             machines=machines,
             faults=_parse_faults(args.inject),
             collect_trace=bool(args.trace),
@@ -974,6 +909,9 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:  # e.g. unwritable --progress-log
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cache is not None:
+            cache.close()
     status_lines, diagnostics = report.summary_lines()
     print("\n".join(status_lines), file=status_stream)
     for line in diagnostics:
@@ -1124,23 +1062,29 @@ def run_batch_bench(
     loop_metrics = None
     for _ in range(max(1, repeats)):
         started = time.perf_counter()
-        run_batch(programs, machine, jobs=1, cache_dir=None)
+        run_batch(programs, machine, jobs=1)
         serial_samples.append(time.perf_counter() - started)
         started = time.perf_counter()
-        report = run_batch(programs, machine, jobs=jobs, cache_dir=None)
+        report = run_batch(programs, machine, jobs=jobs)
         chunked_samples.append(time.perf_counter() - started)
         loop_metrics = report.loop_metrics
 
     cache_root = tempfile.mkdtemp(prefix="repro-bench-cache-")
+    timed = []
     try:
-        started = time.perf_counter()
-        cold = run_batch(programs, machine, jobs=jobs, cache_dir=cache_root)
-        cold_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        warm = run_batch(programs, machine, jobs=jobs, cache_dir=cache_root)
-        warm_seconds = time.perf_counter() - started
+        # Cold then warm, each through its own connection (like two CLI
+        # runs) so each report's cache counters are its own.
+        for _ in range(2):
+            cache = SQLiteCache(os.path.join(cache_root, "results.sqlite"))
+            try:
+                started = time.perf_counter()
+                report = run_batch(programs, machine, jobs=jobs, cache=cache)
+                timed.append((report, time.perf_counter() - started))
+            finally:
+                cache.close()
     finally:
         shutil.rmtree(cache_root, ignore_errors=True)
+    (cold, cold_seconds), (warm, warm_seconds) = timed
 
     serial_stats = sample_stats(serial_samples)
     chunked_stats = sample_stats(chunked_samples)

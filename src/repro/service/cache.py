@@ -1,41 +1,35 @@
-"""Content-addressed result caches behind one ``CacheBackend`` protocol.
+"""Content-addressed result cache behind one ``CacheBackend`` protocol.
 
-Two storage backends share one key schema, one JSON payload envelope
-and one eviction policy:
+``SQLiteCache`` is the one local store: a single-file sqlite database
+in WAL mode (readers never block the writer and vice versa), one row
+per result keyed by the request's content address, holding the
+canonical JSON payload envelope.  One file instead of thousands makes
+the cache trivially shareable — copy it between CI runs, mount it
+read-mostly, ship it as an artifact.  The CLI default is
+``DEFAULT_CACHE_DB``; the ``-wal``/``-shm`` side files sit next to it.
+:meth:`SQLiteCache.import_directory` migrates the legacy fan-out
+directory layout (``<root>/<key[:2]>/<key>.json``) once, in bulk,
+preserving each blob's timestamp.
 
-``DirectoryCache``
-    One JSON blob per result at ``<root>/<key[:2]>/<key>.json``
-    (two-level fan-out keeps directories small on big corpora).  Writes
-    are atomic — the blob lands in a same-directory temp file and is
-    ``os.replace``d into place — so a crashed or parallel writer can
-    never leave a half-written entry behind a valid name.
+Reads are corruption-tolerant: any unparsable, schema-mismatched or
+field-mismatched entry is treated as a miss and the caller recomputes
+(and overwrites) it.  A cache is therefore purely an accelerator; it
+can be deleted, truncated or corrupted at any time without changing
+results.
 
-``SQLiteCache``
-    A single-file sqlite database in WAL mode (readers never block the
-    writer and vice versa), same key schema and payload envelope.  One
-    file instead of thousands makes the cache trivially shareable —
-    copy it between CI runs, mount it read-mostly, ship it as an
-    artifact.  :meth:`SQLiteCache.import_directory` migrates
-    directory-cache entries in bulk, preserving their timestamps.
-
-Reads on both backends are corruption-tolerant: any unreadable,
-unparsable, schema-mismatched or field-mismatched entry is treated as a
-miss and the caller recomputes (and overwrites) it.  A cache is
-therefore purely an accelerator; it can be deleted, truncated or
-corrupted at any time without changing results.
-
-Both backends also expose :meth:`CacheBackend.entries` /
-:meth:`CacheBackend.remove`, which is all :func:`collect_garbage`
-needs — eviction (``batch --gc``) is written once against the protocol
-and works identically for directories and sqlite files.
+Every backend (this store, :class:`repro.server.httpcache.HTTPCache`
+and the server's ``LockedCache``) also exposes
+:meth:`CacheBackend.entries` / :meth:`CacheBackend.remove`, which is all
+:func:`collect_garbage` needs — eviction (``batch --gc``) is written
+once against the protocol.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
 import os
-import tempfile
 import time
 from typing import Iterator, Optional
 
@@ -45,6 +39,17 @@ from repro.experiments.metrics import LoopMetrics
 #: Payload envelope identifiers; version bumps invalidate old entries.
 RESULT_SCHEMA = "repro.service.result"
 RESULT_SCHEMA_VERSION = 1
+
+#: Default on-disk cache location for the CLI (API default is no cache).
+DEFAULT_CACHE_DB = ".repro-cache/results.sqlite"
+
+
+class CacheOpenError(Exception):
+    """A cache store could not be opened; the message names its path."""
+
+    def __init__(self, path: str, reason: object):
+        super().__init__(f"cannot open cache {path}: {reason}")
+        self.path = path
 
 
 @dataclasses.dataclass
@@ -104,9 +109,8 @@ class CacheEntry:
     key: str
     size_bytes: int
     created_unix: float
-    #: Last read time.  SQLite records it exactly (updated on every
-    #: hit); directory caches approximate it with the file mtime, which
-    #: equals creation time until the entry is rewritten.
+    #: Last read time, updated on every hit; equals creation time for
+    #: an entry that has never been read (or was imported unread).
     accessed_unix: float = 0.0
 
     def __post_init__(self):
@@ -132,122 +136,11 @@ class CacheBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release any held resources (no-op for directory caches)."""
+        """Release any held resources."""
 
     def describe(self) -> str:
         """One-word-ish location string for CLI summaries."""
         raise NotImplementedError
-
-
-class DirectoryCache(CacheBackend):
-    """A content-addressed LoopMetrics cache rooted at one directory."""
-
-    def __init__(self, root: str):
-        self.root = root
-        self.stats = CacheStats()
-
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.json")
-
-    def describe(self) -> str:
-        return f"dir:{self.root}"
-
-    def get(self, key: str) -> Optional[LoopMetrics]:
-        """The cached result for ``key``, or None on miss/corruption."""
-        path = self.path_for(key)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            metrics = payload_to_metrics(payload)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError, TypeError) as _:
-            # Unreadable, truncated, hand-edited, or written by an
-            # incompatible revision: recompute rather than trust it.
-            self.stats.misses += 1
-            self.stats.corrupt += 1
-            return None
-        self.stats.hits += 1
-        return metrics
-
-    def put(self, key: str, metrics: LoopMetrics) -> bool:
-        """Atomically store a result.  Best-effort: returns False (and
-        counts a write error) instead of raising when the filesystem
-        refuses — a cache that cannot be written degrades to recompute,
-        it never fails the batch."""
-        path = self.path_for(key)
-        directory = os.path.dirname(path)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=f".{key[:8]}.", suffix=".tmp", dir=directory
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(canonical_dumps(metrics_to_payload(key, metrics)))
-                    handle.write("\n")
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            self.stats.write_errors += 1
-            return False
-        self.stats.writes += 1
-        return True
-
-    def entries(self) -> Iterator[CacheEntry]:
-        """Every stored entry, discovered by walking the fan-out dirs."""
-        try:
-            fans = sorted(os.listdir(self.root))
-        except OSError:
-            return
-        for fan in fans:
-            fan_dir = os.path.join(self.root, fan)
-            if not os.path.isdir(fan_dir):
-                continue
-            try:
-                names = sorted(os.listdir(fan_dir))
-            except OSError:
-                continue
-            for name in names:
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(fan_dir, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                yield CacheEntry(
-                    key=name[: -len(".json")],
-                    size_bytes=stat.st_size,
-                    created_unix=stat.st_mtime,
-                    accessed_unix=stat.st_mtime,
-                )
-
-    def remove(self, key: str) -> bool:
-        path = self.path_for(key)
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            return False
-        except OSError:
-            return False
-        # Opportunistically drop an emptied fan-out directory.
-        try:
-            os.rmdir(os.path.dirname(path))
-        except OSError:
-            pass
-        return True
-
-
-#: Backwards-compatible alias (PR 3 exposed the directory layout as
-#: ``ResultCache``; the protocol split kept the name pointing at it).
-ResultCache = DirectoryCache
 
 
 class SQLiteCache(CacheBackend):
@@ -258,39 +151,41 @@ class SQLiteCache(CacheBackend):
 
         self.path = path
         self.stats = CacheStats()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
         # Autocommit (isolation_level=None) keeps puts single-statement
         # atomic without long write transactions; WAL lets concurrent
         # CI runs read while one writes.  ``threadsafe=True`` lets one
         # connection be shared across threads — the caller must then
         # serialize access itself (the server wraps the backend in a
         # lock; autocommit keeps each statement atomic regardless).
-        self._conn = sqlite3.connect(
-            path,
-            timeout=30.0,
-            isolation_level=None,
-            check_same_thread=not threadsafe,
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS results ("
-            " key TEXT PRIMARY KEY,"
-            " payload TEXT NOT NULL,"
-            " size_bytes INTEGER NOT NULL,"
-            " created_unix REAL NOT NULL,"
-            " accessed_unix REAL)"
-        )
-        # Databases written before LRU support lack the column; add it
-        # in place (NULL rows fall back to created_unix on read).
-        columns = {
-            row[1] for row in self._conn.execute("PRAGMA table_info(results)")
-        }
-        if "accessed_unix" not in columns:
-            self._conn.execute(
-                "ALTER TABLE results ADD COLUMN accessed_unix REAL"
+        conn = None
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            conn = sqlite3.connect(
+                path,
+                timeout=30.0,
+                isolation_level=None,
+                check_same_thread=not threadsafe,
             )
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS results ("
+                " key TEXT PRIMARY KEY,"
+                " payload TEXT NOT NULL,"
+                " size_bytes INTEGER NOT NULL,"
+                " created_unix REAL NOT NULL,"
+                " accessed_unix REAL)"
+            )
+            # Databases written before LRU support lack the column; add
+            # it in place (NULL rows fall back to created_unix on read).
+            columns = {row[1] for row in conn.execute("PRAGMA table_info(results)")}
+            if "accessed_unix" not in columns:
+                conn.execute("ALTER TABLE results ADD COLUMN accessed_unix REAL")
+        except (sqlite3.Error, OSError) as error:
+            if conn is not None:
+                conn.close()
+            raise CacheOpenError(path, error) from error
+        self._conn = conn
 
     def describe(self) -> str:
         return f"sqlite:{self.path}"
@@ -389,62 +284,51 @@ class SQLiteCache(CacheBackend):
         return cursor.rowcount > 0
 
     def import_directory(self, root: str) -> int:
-        """Bulk-import a :class:`DirectoryCache`'s entries.
+        """Bulk-import a legacy directory cache rooted at ``root``.
 
-        Each blob is strictly validated before insertion (a corrupt
-        directory entry is skipped, not propagated) and keeps its file
-        mtime as ``created_unix`` so age-based GC stays meaningful.
-        Existing sqlite entries win over imported ones.  Returns the
-        number of entries imported.
+        The legacy layout is one canonical JSON envelope per result at
+        ``<root>/<key[:2]>/<key>.json``.  Each blob is strictly decoded
+        before insertion (a corrupt blob is skipped, not propagated)
+        and keeps its file mtime as ``created_unix`` so age-based GC
+        stays meaningful.  Existing sqlite entries win over imported
+        ones.  Returns the number of entries imported.
         """
-        source = DirectoryCache(root)
         imported = 0
-        for entry in source.entries():
-            metrics = source.get(entry.key)
-            if metrics is None:
+        for path in sorted(glob.glob(os.path.join(root, "??", "*.json"))):
+            key = os.path.basename(path)[: -len(".json")]
+            try:
+                with open(path) as handle:
+                    metrics = payload_to_metrics(json.load(handle))
+                created_unix = os.stat(path).st_mtime
+            except (OSError, ValueError, TypeError):
                 continue
             row = self._conn.execute(
-                "SELECT 1 FROM results WHERE key = ?", (entry.key,)
+                "SELECT 1 FROM results WHERE key = ?", (key,)
             ).fetchone()
-            if row is not None:
-                continue
-            if self.put(entry.key, metrics, created_unix=entry.created_unix):
+            if row is None and self.put(key, metrics, created_unix=created_unix):
                 imported += 1
         return imported
 
 
 def open_cache(
-    cache_dir: Optional[str] = None,
     cache_db: Optional[str] = None,
     cache_url: Optional[str] = None,
-    cache_fallback_dir: Optional[str] = None,
     auth_token: Optional[str] = None,
 ) -> Optional[CacheBackend]:
-    """Pick a backend from the CLI-style trio of location options.
+    """Open the cache the CLI options name (None when neither is set).
 
-    ``cache_url`` selects the HTTP backend (:mod:`repro.server`'s
-    shared warm cache); ``cache_fallback_dir`` then names the local
-    directory cache the client degrades to when the server is
-    unreachable (None = degrade to recompute).  The three locations are
-    mutually exclusive; ``auth_token`` only applies to ``cache_url``.
+    ``cache_db`` opens the local :class:`SQLiteCache`.  ``cache_url``
+    selects the HTTP backend (:mod:`repro.server`'s shared warm cache)
+    authenticated with ``auth_token``; the local database, when given,
+    is then its write-through fallback for an unreachable server.
+    Raises :class:`CacheOpenError` when the database cannot be opened.
     """
-    locations = [x for x in (cache_dir, cache_db, cache_url) if x is not None]
-    if len(locations) > 1:
-        raise ValueError(
-            "pass at most one of cache_dir, cache_db and cache_url"
-        )
-    if cache_url is not None:
-        from repro.server.httpcache import HTTPCache
+    local = SQLiteCache(cache_db) if cache_db is not None else None
+    if cache_url is None:
+        return local
+    from repro.server.httpcache import HTTPCache
 
-        fallback = (
-            DirectoryCache(cache_fallback_dir) if cache_fallback_dir else None
-        )
-        return HTTPCache(cache_url, fallback=fallback, auth_token=auth_token)
-    if cache_db is not None:
-        return SQLiteCache(cache_db)
-    if cache_dir is not None:
-        return DirectoryCache(cache_dir)
-    return None
+    return HTTPCache(cache_url, fallback=local, auth_token=auth_token)
 
 
 # ----------------------------------------------------------------------
@@ -486,9 +370,8 @@ def collect_garbage(
 
     ``policy`` picks the timestamp that orders eviction (and ages
     entries against ``max_age_seconds``): ``"oldest"`` uses creation
-    time, ``"lru"`` uses last access — sqlite backends record reads
-    exactly, directory caches approximate access with file mtime.
-    Either way the least-valuable entries go first, so a size bound
+    time, ``"lru"`` uses last access, which the sqlite store records on
+    every hit.  Either way the least-valuable entries go first, so a size bound
     keeps the youngest (or most recently used) entries: an entry is
     evicted when it is older than ``max_age_seconds``, or while the
     total size still exceeds ``max_bytes``.  With neither bound set,

@@ -25,7 +25,9 @@ OTHER_SOURCE = SOURCE.replace("+ 1.0", "+ 2.0")
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     root = tmp_path_factory.mktemp("server-cache")
-    config = ServerConfig(host="127.0.0.1", port=0, cache_dir=str(root))
+    config = ServerConfig(
+        host="127.0.0.1", port=0, cache_db=str(root / "cache.sqlite")
+    )
     with running_server(config) as live:
         yield live
 
@@ -167,13 +169,13 @@ def test_metricz_snapshot(client):
     assert counters["server.requests.schedule"] >= 1
     latency = body["metrics"]["histograms"]["server.latency.schedule"]
     assert {"p50", "p90", "p99"} <= set(latency)
-    assert body["cache"]["location"].startswith("dir:")
+    assert body["cache"]["location"].startswith("sqlite:")
     assert body["cache"]["hits"] >= 1
 
 
 def test_auth_token_guards_everything_but_healthz(tmp_path):
     config = ServerConfig(
-        port=0, cache_dir=str(tmp_path / "c"), auth_token="sesame"
+        port=0, cache_db=str(tmp_path / "c.sqlite"), auth_token="sesame"
     )
     with running_server(config) as live:
         anonymous = ServerClient(live.url)

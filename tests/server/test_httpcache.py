@@ -1,14 +1,12 @@
 """HTTPCache: the CacheBackend protocol over the wire, with degradation."""
 
-import pytest
-
 from repro.experiments import measure_loop
 from repro.frontend.parser import parse_loop
 from repro.machine import cydra5
 from repro.server.app import ServerConfig, running_server
 from repro.server.httpcache import HTTPCache
 from repro.service.batch import run_batch
-from repro.service.cache import DirectoryCache, open_cache
+from repro.service.cache import SQLiteCache, open_cache
 from repro.service.keys import cache_key
 from repro.workloads import paper_corpus
 
@@ -33,6 +31,14 @@ def _entry():
 DEAD_URL = "http://127.0.0.1:1"
 
 
+def _config(tmp_path, **kwargs) -> ServerConfig:
+    return ServerConfig(port=0, cache_db=str(tmp_path / "srv.sqlite"), **kwargs)
+
+
+def _local(tmp_path) -> SQLiteCache:
+    return SQLiteCache(str(tmp_path / "fb.sqlite"))
+
+
 def _dead_cache(**kwargs) -> HTTPCache:
     return HTTPCache(DEAD_URL, timeout=0.5, retries=0, **kwargs)
 
@@ -42,7 +48,7 @@ def _dead_cache(**kwargs) -> HTTPCache:
 # ----------------------------------------------------------------------
 def test_put_then_get_roundtrip(tmp_path):
     key, metrics = _entry()
-    with running_server(ServerConfig(port=0, cache_dir=str(tmp_path))) as live:
+    with running_server(_config(tmp_path)) as live:
         cache = HTTPCache(live.url)
         assert cache.get(key) is None
         assert cache.stats.misses == 1
@@ -56,10 +62,8 @@ def test_put_then_get_roundtrip(tmp_path):
 
 def test_remote_hit_warms_the_fallback(tmp_path):
     key, metrics = _entry()
-    fallback = DirectoryCache(str(tmp_path / "fb"))
-    with running_server(
-        ServerConfig(port=0, cache_dir=str(tmp_path / "srv"))
-    ) as live:
+    fallback = _local(tmp_path)
+    with running_server(_config(tmp_path)) as live:
         HTTPCache(live.url).put(key, metrics)
         cache = HTTPCache(live.url, fallback=fallback)
         assert cache.get(key) == metrics
@@ -69,11 +73,9 @@ def test_remote_hit_warms_the_fallback(tmp_path):
 
 def test_fallback_hit_rewarms_the_server(tmp_path):
     key, metrics = _entry()
-    fallback = DirectoryCache(str(tmp_path / "fb"))
+    fallback = _local(tmp_path)
     fallback.put(key, metrics)
-    with running_server(
-        ServerConfig(port=0, cache_dir=str(tmp_path / "srv"))
-    ) as live:
+    with running_server(_config(tmp_path)) as live:
         cache = HTTPCache(live.url, fallback=fallback)
         assert cache.get(key) == metrics  # server miss, fallback hit
         # ... which was pushed back up to the shared cache.
@@ -86,7 +88,7 @@ def test_fallback_hit_rewarms_the_server(tmp_path):
 # ----------------------------------------------------------------------
 def test_unreachable_server_degrades_to_fallback(tmp_path):
     key, metrics = _entry()
-    cache = _dead_cache(fallback=DirectoryCache(str(tmp_path)))
+    cache = _dead_cache(fallback=_local(tmp_path))
     assert cache.put(key, metrics)  # lands in the fallback
     assert cache.get(key) == metrics
     assert cache.degraded >= 1
@@ -103,7 +105,7 @@ def test_unreachable_server_without_fallback_is_a_miss():
 
 def test_circuit_breaker_skips_the_dead_server(tmp_path):
     key, metrics = _entry()
-    cache = _dead_cache(fallback=DirectoryCache(str(tmp_path)), cooldown=60.0)
+    cache = _dead_cache(fallback=_local(tmp_path), cooldown=60.0)
     cache.put(key, metrics)  # trips the breaker
     tripped = cache.degraded
     for _ in range(5):
@@ -115,7 +117,7 @@ def test_circuit_breaker_skips_the_dead_server(tmp_path):
 def test_bad_token_trips_the_breaker(tmp_path):
     key, metrics = _entry()
     with running_server(
-        ServerConfig(port=0, cache_dir=str(tmp_path), auth_token="sesame")
+        _config(tmp_path, auth_token="sesame")
     ) as live:
         cache = HTTPCache(live.url, auth_token="wrong", cooldown=60.0)
         assert cache.get(key) is None
@@ -127,15 +129,13 @@ def test_bad_token_trips_the_breaker(tmp_path):
 # ----------------------------------------------------------------------
 def test_entries_and_remove_cover_the_fallback_only(tmp_path):
     key, metrics = _entry()
-    with running_server(
-        ServerConfig(port=0, cache_dir=str(tmp_path / "srv"))
-    ) as live:
+    with running_server(_config(tmp_path)) as live:
         remote_only = HTTPCache(live.url)
         remote_only.put(key, metrics)
         assert list(remote_only.entries()) == []
         assert remote_only.remove(key) is False  # eviction is server-side
         with_fallback = HTTPCache(
-            live.url, fallback=DirectoryCache(str(tmp_path / "fb"))
+            live.url, fallback=_local(tmp_path)
         )
         with_fallback.put(key, metrics)
         assert [entry.key for entry in with_fallback.entries()] == [key]
@@ -143,16 +143,15 @@ def test_entries_and_remove_cover_the_fallback_only(tmp_path):
 
 
 def test_open_cache_selects_http_backend(tmp_path):
-    cache = open_cache(
-        cache_url=DEAD_URL, cache_fallback_dir=str(tmp_path), auth_token="t"
-    )
+    db = str(tmp_path / "fb.sqlite")
+    cache = open_cache(cache_db=db, cache_url=DEAD_URL, auth_token="t")
     assert isinstance(cache, HTTPCache)
-    assert cache.fallback is not None
+    assert isinstance(cache.fallback, SQLiteCache)
+    assert cache.fallback.path == db
     assert cache.client.auth_token == "t"
-    with pytest.raises(ValueError):
-        open_cache(cache_dir="a", cache_url=DEAD_URL)
-    with pytest.raises(ValueError):
-        open_cache(cache_db="a.sqlite", cache_url=DEAD_URL)
+    cache.close()
+    bare = open_cache(cache_url=DEAD_URL)
+    assert isinstance(bare, HTTPCache) and bare.fallback is None
 
 
 # ----------------------------------------------------------------------
@@ -160,24 +159,22 @@ def test_open_cache_selects_http_backend(tmp_path):
 # ----------------------------------------------------------------------
 def test_run_batch_shares_a_warm_server_cache(tmp_path):
     programs = paper_corpus(4)
-    with running_server(
-        ServerConfig(port=0, cache_dir=str(tmp_path / "srv"))
-    ) as live:
-        cold = run_batch(
-            programs, MACHINE, cache_url=live.url,
-            cache_fallback_dir=str(tmp_path / "fb"),
-        )
+    with running_server(_config(tmp_path)) as live:
+        cache = open_cache(str(tmp_path / "fb.sqlite"), live.url)
+        cold = run_batch(programs, MACHINE, cache=cache)
+        cache.close()
         assert cold.ok
         assert cold.cache.misses == 4 and cold.cache.writes == 4
-        warm = run_batch(
-            programs, MACHINE, cache_url=live.url,
-            cache_fallback_dir=str(tmp_path / "fb2"),
-        )
+        # A second client with its own (empty) fallback: hits come
+        # from the server's shared cache.
+        cache = open_cache(str(tmp_path / "fb2.sqlite"), live.url)
+        warm = run_batch(programs, MACHINE, cache=cache)
+        cache.close()
         assert warm.ok
         assert warm.cache.hits == 4 and warm.cache.misses == 0
         assert warm.counts() == {"cached": 4}
         # Zero result divergence from a local, uncached run.
-        local = run_batch(programs, MACHINE, use_cache=False)
+        local = run_batch(programs, MACHINE)
         assert warm.loop_metrics == cold.loop_metrics
         names = [m.name for m in local.loop_metrics]
         assert [m.name for m in warm.loop_metrics] == names
@@ -185,7 +182,7 @@ def test_run_batch_shares_a_warm_server_cache(tmp_path):
 
 def test_run_batch_caller_owned_cache_stays_open(tmp_path):
     key, metrics = _entry()
-    cache = DirectoryCache(str(tmp_path))
+    cache = _local(tmp_path)
     report = run_batch(paper_corpus(2), MACHINE, cache=cache)
     assert report.ok and report.cache is cache.stats
     # run_batch must not close a caller-owned backend: still usable.

@@ -24,7 +24,7 @@ def _spawn(tmp_path, *extra):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--cache-dir", str(tmp_path / "cache"), *extra,
+            "--port", "0", "--cache-db", str(tmp_path / "cache.sqlite"), *extra,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments.export import to_json
 from repro.machine import cydra5
 from repro.service.batch import run_batch
+from repro.service.cache import SQLiteCache
 from repro.service.jobs import make_jobs
 from repro.service.pool import run_jobs
 from repro.workloads import paper_corpus
@@ -117,13 +118,11 @@ def test_heterogeneous_batch_identical_across_backends():
 def test_heterogeneous_jobs_get_distinct_cache_keys(tmp_path):
     programs = paper_corpus(2) * 2
     machines = [cydra5(load_latency=2)] * 2 + [cydra5(load_latency=27)] * 2
-    cold = run_batch(
-        programs, machines=machines, jobs=2, cache_dir=str(tmp_path)
-    )
+    cache = SQLiteCache(str(tmp_path / "cache.sqlite"))
+    cold = run_batch(programs, machines=machines, jobs=2, cache=cache)
     assert cold.cache.misses == 4 and cold.cache.writes == 4
-    warm = run_batch(
-        programs, machines=machines, jobs=2, cache_dir=str(tmp_path)
-    )
+    warm = run_batch(programs, machines=machines, jobs=2, cache=cache)
+    cache.close()
     assert warm.cache.hits == 4
     assert to_json(warm.loop_metrics) == to_json(cold.loop_metrics)
 
@@ -133,9 +132,7 @@ def test_run_corpus_sweep_matches_per_machine_runs(tmp_path):
 
     programs = paper_corpus(3)
     machines = [cydra5(load_latency=latency) for latency in (2, 13, 27)]
-    swept = run_corpus_sweep(
-        programs, machines, jobs=2, cache_dir=str(tmp_path / "cache")
-    )
+    swept = run_corpus_sweep(programs, machines, jobs=2)
     assert len(swept) == len(machines)
     for machine, metrics in zip(machines, swept):
         expected = run_corpus(programs, machine)
@@ -152,7 +149,7 @@ def test_cli_sweep_load_latency(tmp_path, capsys):
         [
             "--corpus", "6",
             "--jobs", "2",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--cache-db", str(tmp_path / "cache.sqlite"),
             "--sweep-load-latency", "2,27",
             "--out", out,
         ]
@@ -206,7 +203,7 @@ def test_cli_sweep_machine_grid(tmp_path, capsys):
     assert batch_main(
         [
             "--corpus", "5",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--cache-db", str(tmp_path / "cache.sqlite"),
             "--sweep-machine", "cydra5",
             "--sweep-machine", "vliw-wide",
             "--out", out,

@@ -6,9 +6,19 @@ import os
 from repro.machine import cydra5
 from repro.obs import MetricsRegistry
 from repro.service.batch import batch_main, run_batch
+from repro.service.cache import SQLiteCache
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
+
+
+def _run_cached(programs, path, **kwargs):
+    """One run_batch against a freshly opened sqlite cache at ``path``."""
+    cache = SQLiteCache(str(path))
+    try:
+        return run_batch(programs, MACHINE, cache=cache, **kwargs)
+    finally:
+        cache.close()
 
 
 # ----------------------------------------------------------------------
@@ -16,11 +26,11 @@ MACHINE = cydra5()
 # ----------------------------------------------------------------------
 def test_cold_then_warm_cache(tmp_path):
     programs = paper_corpus(6)
-    cache_dir = str(tmp_path / "cache")
-    cold = run_batch(programs, MACHINE, cache_dir=cache_dir)
+    db = tmp_path / "cache.sqlite"
+    cold = _run_cached(programs, db)
     assert cold.ok
     assert cold.cache.misses == 6 and cold.cache.hits == 0
-    warm = run_batch(programs, MACHINE, cache_dir=cache_dir)
+    warm = _run_cached(programs, db)
     assert warm.ok
     assert warm.cache.hits == 6 and warm.cache.misses == 0
     assert warm.counts() == {"cached": 6}
@@ -30,35 +40,32 @@ def test_cold_then_warm_cache(tmp_path):
 
 
 def test_no_cache_dir_disables_cache():
-    report = run_batch(paper_corpus(2), MACHINE, cache_dir=None)
+    report = run_batch(paper_corpus(2), MACHINE, cache=None)
     assert report.cache is None and report.ok
 
 
-def test_use_cache_false_bypasses_even_with_dir(tmp_path):
-    cache_dir = str(tmp_path)
-    run_batch(paper_corpus(2), MACHINE, cache_dir=cache_dir)
-    report = run_batch(
-        paper_corpus(2), MACHINE, cache_dir=cache_dir, use_cache=False
-    )
-    assert report.cache is None
-    assert report.counts() == {"ok": 2}
+def test_use_cache_false_bypasses_even_with_dir(tmp_path, capsys, monkeypatch):
+    """``--no-cache`` ignores a warm default store in ``.repro-cache``."""
+    monkeypatch.chdir(tmp_path)
+    assert batch_main(["--corpus", "2"]) == 0
+    assert os.path.isfile(".repro-cache/results.sqlite")  # the default store
+    capsys.readouterr()
+    assert batch_main(["--corpus", "2", "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert "ok=2" in out and "cache:" not in out
 
 
 def test_injected_fault_skips_cache_hit(tmp_path):
-    cache_dir = str(tmp_path)
-    run_batch(paper_corpus(2), MACHINE, cache_dir=cache_dir)
-    report = run_batch(
-        paper_corpus(2), MACHINE, cache_dir=cache_dir, faults={0: "raise"}
-    )
+    db = tmp_path / "cache.sqlite"
+    _run_cached(paper_corpus(2), db)
+    report = _run_cached(paper_corpus(2), db, faults={0: "raise"})
     assert report.results[0].status == "failed"
     assert report.results[1].status == "cached"
 
 
 def test_obs_registry_receives_service_counters(tmp_path):
     registry = MetricsRegistry()
-    run_batch(
-        paper_corpus(3), MACHINE, cache_dir=str(tmp_path), metrics=registry
-    )
+    _run_cached(paper_corpus(3), tmp_path / "cache.sqlite", metrics=registry)
     snapshot = registry.snapshot()
     assert snapshot["counters"]["service.jobs.ok"] == 3
     assert snapshot["counters"]["service.cache.misses"] == 3
@@ -73,15 +80,15 @@ def test_run_corpus_service_path_matches_serial(tmp_path):
 
     programs = paper_corpus(6)
     serial = run_corpus(programs, MACHINE)
-    service = run_corpus(
-        programs, MACHINE, jobs=2, cache_dir=str(tmp_path / "cache")
-    )
+    cache = SQLiteCache(str(tmp_path / "cache.sqlite"))
+    service = run_corpus(programs, MACHINE, jobs=2, cache=cache)
     assert to_json(serial, drop_timings=True) == to_json(
         service, drop_timings=True
     )
     # Warm rerun through the same entry point hits the cache and is
     # byte-identical to the first service pass, timings included.
-    warm = run_corpus(programs, MACHINE, jobs=2, cache_dir=str(tmp_path / "cache"))
+    warm = run_corpus(programs, MACHINE, jobs=2, cache=cache)
+    cache.close()
     assert to_json(warm) == to_json(service)
 
 
@@ -96,16 +103,16 @@ def test_summary_mentions_faults():
 # CLI (batch_main)
 # ----------------------------------------------------------------------
 def test_cli_corpus_cold_then_warm_byte_identical(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
+    cache = str(tmp_path / "cache.sqlite")
     out_cold = str(tmp_path / "cold.json")
     out_warm = str(tmp_path / "warm.json")
     assert batch_main(
-        ["--corpus", "4", "--cache-dir", cache, "--out", out_cold]
+        ["--corpus", "4", "--cache-db", cache, "--out", out_cold]
     ) == 0
     cold_text = capsys.readouterr().out
     assert "cache: 0 hits, 4 misses" in cold_text
     assert batch_main(
-        ["--corpus", "4", "--cache-dir", cache, "--out", out_warm]
+        ["--corpus", "4", "--cache-db", cache, "--out", out_warm]
     ) == 0
     warm_text = capsys.readouterr().out
     assert "cache: 4 hits, 0 misses" in warm_text

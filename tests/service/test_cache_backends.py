@@ -1,16 +1,16 @@
-"""CacheBackend protocol: sqlite store, cross-backend migration, GC."""
+"""CacheBackend protocol: sqlite store, legacy-directory migration, GC."""
 
-import json
 import os
 
 import pytest
 
+from repro.canonical import canonical_dumps
 from repro.experiments import measure_loop
 from repro.machine import cydra5
 from repro.service.cache import (
-    DirectoryCache,
     SQLiteCache,
     collect_garbage,
+    metrics_to_payload,
     open_cache,
 )
 from repro.workloads import paper_corpus
@@ -27,19 +27,23 @@ def _key(i: int) -> str:
     return f"{i:02x}" + "0" * 62
 
 
-def _make(kind, tmp_path):
-    if kind == "dir":
-        return DirectoryCache(str(tmp_path / "cache"))
+def _make(tmp_path):
     return SQLiteCache(str(tmp_path / "cache.sqlite"))
 
 
 def _backdate(cache, key, when: float) -> None:
-    if isinstance(cache, DirectoryCache):
-        os.utime(cache.path_for(key), (when, when))
-    else:
-        cache._conn.execute(
-            "UPDATE results SET created_unix = ? WHERE key = ?", (when, key)
-        )
+    cache._conn.execute(
+        "UPDATE results SET created_unix = ? WHERE key = ?", (when, key)
+    )
+
+
+def _write_legacy(root, key, metrics) -> str:
+    """One blob in the legacy directory layout ``<root>/<key[:2]>/<key>.json``."""
+    path = os.path.join(str(root), key[:2], f"{key}.json")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as handle:
+        handle.write(canonical_dumps(metrics_to_payload(key, metrics)) + "\n")
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -89,52 +93,51 @@ def test_sqlite_entries_and_remove(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Cross-backend: same payload envelope, migratable
+# Legacy directory layout: same payload envelope, migratable
 # ----------------------------------------------------------------------
 def test_directory_entry_readable_after_sqlite_import(tmp_path):
-    """The round-trip property the ISSUE names: dir -> sqlite -> equal."""
-    directory = DirectoryCache(str(tmp_path / "dir"))
-    programs = paper_corpus(3)
+    """Legacy directory blobs -> sqlite -> equal metrics, mtimes kept."""
+    root = tmp_path / "dir"
     stored = {}
-    for i, program in enumerate(programs):
+    mtimes = {}
+    for i, program in enumerate(paper_corpus(3)):
         metrics = measure_loop(program, MACHINE)
-        directory.put(_key(i), metrics)
+        path = _write_legacy(root, _key(i), metrics)
+        when = 1_000_000.0 + i
+        os.utime(path, (when, when))
         stored[_key(i)] = metrics
+        mtimes[_key(i)] = when
 
     sqlite = SQLiteCache(str(tmp_path / "c.sqlite"))
-    assert sqlite.import_directory(directory.root) == 3
+    assert sqlite.import_directory(str(root)) == 3
+    # Timestamps carried over from the file mtimes.
+    sql_times = {e.key: e.created_unix for e in sqlite.entries()}
+    assert sql_times == pytest.approx(mtimes)
     for key, metrics in stored.items():
         assert sqlite.get(key) == metrics
-    # Timestamps carried over from the file mtimes.
-    dir_times = {e.key: e.created_unix for e in directory.entries()}
-    sql_times = {e.key: e.created_unix for e in sqlite.entries()}
-    assert dir_times == pytest.approx(sql_times)
     sqlite.close()
 
 
 def test_import_skips_corrupt_and_existing(tmp_path):
-    directory = DirectoryCache(str(tmp_path / "dir"))
-    directory.put(_key(1), _metrics())
-    directory.put(_key(2), _metrics())
-    with open(directory.path_for(_key(1)), "w") as handle:
+    root = tmp_path / "dir"
+    broken = _write_legacy(root, _key(1), _metrics())
+    _write_legacy(root, _key(2), _metrics())
+    with open(broken, "w") as handle:
         handle.write("{broken")
     sqlite = SQLiteCache(str(tmp_path / "c.sqlite"))
     newer = _metrics()
-    sqlite.put(_key(2), newer)
-    assert sqlite.import_directory(directory.root) == 0  # 1 corrupt, 1 existing
+    sqlite.put(_key(2), newer, created_unix=5.0)
+    assert sqlite.import_directory(str(root)) == 0  # 1 corrupt, 1 existing
     assert sqlite.get(_key(2)) == newer  # existing sqlite row won
+    assert [(e.key, e.created_unix) for e in sqlite.entries()] == [(_key(2), 5.0)]
     sqlite.close()
 
 
 def test_open_cache_selects_backend(tmp_path):
     assert open_cache() is None
-    directory = open_cache(cache_dir=str(tmp_path / "d"))
-    assert isinstance(directory, DirectoryCache)
     sqlite = open_cache(cache_db=str(tmp_path / "c.sqlite"))
     assert isinstance(sqlite, SQLiteCache)
     sqlite.close()
-    with pytest.raises(ValueError, match="at most one"):
-        open_cache(cache_dir="a", cache_db="b")
 
 
 def test_run_batch_sqlite_warm_hits(tmp_path):
@@ -142,10 +145,14 @@ def test_run_batch_sqlite_warm_hits(tmp_path):
 
     db = str(tmp_path / "results.sqlite")
     programs = paper_corpus(4)
-    cold = run_batch(programs, MACHINE, cache_db=db, jobs=2)
+    cache = SQLiteCache(db)
+    cold = run_batch(programs, MACHINE, cache=cache, jobs=2)
+    cache.close()
     assert cold.cache.misses == 4 and cold.cache.writes == 4
     assert cold.cache_location == f"sqlite:{db}"
-    warm = run_batch(programs, MACHINE, cache_db=db, jobs=2)
+    cache = SQLiteCache(db)
+    warm = run_batch(programs, MACHINE, cache=cache, jobs=2)
+    cache.close()
     assert warm.cache.hits == 4 and warm.counts() == {"cached": 4}
     assert warm.loop_metrics == cold.loop_metrics
 
@@ -153,9 +160,9 @@ def test_run_batch_sqlite_warm_hits(tmp_path):
 # ----------------------------------------------------------------------
 # Garbage collection: one policy, both backends
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["dir", "sqlite"])
+@pytest.mark.parametrize("kind", ["sqlite"])
 def test_gc_no_bounds_is_inventory_only(kind, tmp_path):
-    cache = _make(kind, tmp_path)
+    cache = _make(tmp_path)
     for i in range(3):
         cache.put(_key(i), _metrics())
     report = collect_garbage(cache)
@@ -165,9 +172,9 @@ def test_gc_no_bounds_is_inventory_only(kind, tmp_path):
     cache.close()
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite"])
+@pytest.mark.parametrize("kind", ["sqlite"])
 def test_gc_age_bound_evicts_only_expired(kind, tmp_path):
-    cache = _make(kind, tmp_path)
+    cache = _make(tmp_path)
     metrics = _metrics()
     for i in range(4):
         cache.put(_key(i), metrics)
@@ -181,9 +188,9 @@ def test_gc_age_bound_evicts_only_expired(kind, tmp_path):
     cache.close()
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite"])
+@pytest.mark.parametrize("kind", ["sqlite"])
 def test_gc_size_bound_keeps_youngest(kind, tmp_path):
-    cache = _make(kind, tmp_path)
+    cache = _make(tmp_path)
     metrics = _metrics()
     now = 1_000_000.0
     for i in range(4):
@@ -199,9 +206,9 @@ def test_gc_size_bound_keeps_youngest(kind, tmp_path):
     cache.close()
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite"])
+@pytest.mark.parametrize("kind", ["sqlite"])
 def test_gc_both_bounds_compose(kind, tmp_path):
-    cache = _make(kind, tmp_path)
+    cache = _make(tmp_path)
     metrics = _metrics()
     now = 1_000_000.0
     for i in range(4):
@@ -219,15 +226,15 @@ def test_gc_both_bounds_compose(kind, tmp_path):
 def test_cli_gc_size_bound(tmp_path, capsys):
     from repro.service.batch import batch_main
 
-    cache = str(tmp_path / "cache")
-    assert batch_main(["--corpus", "4", "--cache-dir", cache]) == 0
+    cache = str(tmp_path / "cache.sqlite")
+    assert batch_main(["--corpus", "4", "--cache-db", cache]) == 0
     capsys.readouterr()
     assert batch_main(
-        ["--gc", "--cache-dir", cache, "--max-cache-bytes", "1"]
+        ["--gc", "--cache-db", cache, "--max-cache-bytes", "1"]
     ) == 0
     out = capsys.readouterr().out
     assert "gc: examined 4 entries" in out and "removed 4" in out
-    assert batch_main(["--gc", "--cache-dir", cache]) == 0
+    assert batch_main(["--gc", "--cache-db", cache]) == 0
     assert "examined 0 entries" in capsys.readouterr().out
 
 
@@ -247,37 +254,99 @@ def test_cli_gc_age_bound_sqlite(tmp_path, capsys):
 def test_cli_gc_missing_cache_exits_2(tmp_path, capsys):
     from repro.service.batch import batch_main
 
-    assert batch_main(
-        ["--gc", "--cache-dir", str(tmp_path / "nope")]
-    ) == 2
-    assert "no cache at" in capsys.readouterr().err
+    missing = tmp_path / "nope.sqlite"
+    assert batch_main(["--gc", "--cache-db", str(missing)]) == 2
+    assert f"no cache at {missing}" in capsys.readouterr().err
+    assert not missing.exists()  # gc never creates a database
 
 
 def test_cli_gc_bad_bounds_exit_2(tmp_path, capsys):
     from repro.service.batch import batch_main
 
-    cache = str(tmp_path)
+    cache = str(tmp_path / "cache.sqlite")
+    SQLiteCache(cache).close()
     assert batch_main(
-        ["--gc", "--cache-dir", cache, "--max-cache-bytes", "five"]
+        ["--gc", "--cache-db", cache, "--max-cache-bytes", "five"]
     ) == 2
     assert "cannot parse size" in capsys.readouterr().err
     assert batch_main(
-        ["--gc", "--cache-dir", cache, "--max-cache-age", "yesterday"]
+        ["--gc", "--cache-db", cache, "--max-cache-age", "yesterday"]
     ) == 2
     assert "cannot parse age" in capsys.readouterr().err
 
 
 def test_cli_cache_dir_and_db_conflict(tmp_path, capsys):
+    """``--cache-dir`` is not an option: argparse exits 2, nothing is created."""
     from repro.service.batch import batch_main
 
-    assert batch_main(
-        [
-            "--corpus", "2",
-            "--cache-dir", str(tmp_path / "d"),
-            "--cache-db", str(tmp_path / "c.sqlite"),
-        ]
-    ) == 2
-    assert "at most one" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        batch_main(
+            [
+                "--corpus", "2",
+                "--cache-dir", str(tmp_path / "d"),
+                "--cache-db", str(tmp_path / "c.sqlite"),
+            ]
+        )
+    assert exit_info.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+    assert not (tmp_path / "c.sqlite").exists()
+
+
+def test_cli_removed_directory_flags_exit_2(tmp_path, capsys):
+    from repro.server.app import serve_main
+    from repro.service.batch import batch_main
+
+    for main, argv in (
+        (batch_main, ["--corpus", "2", "--cache-fallback-dir", str(tmp_path)]),
+        (serve_main, ["--port", "0", "--cache-dir", str(tmp_path)]),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_cache_url_falls_back_to_cache_db(tmp_path, capsys):
+    """``--cache-url`` with ``--cache-db``: the database is the fallback."""
+    from repro.service.batch import batch_main
+
+    db = str(tmp_path / "x.sqlite")
+    argv = ["--corpus", "2", "--cache-url", "http://127.0.0.1:1", "--cache-db", db]
+    assert batch_main(argv) == 0
+    assert f"(fallback sqlite:{db})" in capsys.readouterr().out
+    cache = SQLiteCache(db)
+    assert len(list(cache.entries())) == 2  # computed results landed locally
+    cache.close()
+    assert batch_main(argv) == 0
+    assert "cache: 2 hits, 0 misses" in capsys.readouterr().out
+
+
+def _unopenable(where, tmp_path) -> str:
+    if where == "directory":
+        return str(tmp_path)  # a directory, not a database file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    return str(blocker / "c.sqlite")
+
+
+@pytest.mark.parametrize("entry", ["batch", "gc", "serve"])
+@pytest.mark.parametrize("where", ["directory", "under-file"])
+def test_cli_unopenable_cache_is_a_one_line_error(where, entry, tmp_path, capsys):
+    from repro.server.app import serve_main
+    from repro.service.batch import batch_main
+
+    path = _unopenable(where, tmp_path)
+    if entry == "serve":
+        code = serve_main(["--port", "0", "--cache-db", path])
+    elif entry == "gc":
+        code = batch_main(["--gc", "--cache-db", path])
+    else:
+        code = batch_main(["--corpus", "1", "--cache-db", path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot open cache {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_parse_size_and_age_suffixes():

@@ -1,13 +1,12 @@
 """Concurrent cache writers: many processes, one store, zero corruption.
 
-Two worker processes hammer a single cache location — the WAL sqlite
-backend and the atomic-rename directory backend — with a mix of shared
-keys (both processes write the same entry) and per-process distinct
-keys.  The invariants under test:
+Two worker processes hammer a single WAL sqlite database with a mix of
+shared keys (both processes write the same entry) and per-process
+distinct keys.  The invariants under test:
 
 - a read NEVER sees a torn entry: it returns the complete, exact
   payload for that key, or a miss — nothing in between;
-- no backend ever counts a corrupt entry;
+- no reader ever counts a corrupt entry;
 - after the dust settles, every key holds exactly the payload its
   content address promises.
 
@@ -16,15 +15,15 @@ so "the exact payload" is byte-defined and any divergence is corruption
 by construction.
 """
 
-import dataclasses
 import multiprocessing
 import sys
 import traceback
 
 import pytest
 
+from repro.canonical import canonical_dumps
 from repro.experiments.metrics import LoopMetrics
-from repro.service.cache import DirectoryCache, SQLiteCache
+from repro.service.cache import SQLiteCache, metrics_to_payload
 
 WORKERS = 2
 ROUNDS = 25
@@ -78,14 +77,10 @@ def _distinct_tags(worker_id: int):
     return list(range(start, start + DISTINCT_KEYS))
 
 
-def _open(kind: str, location: str):
-    return SQLiteCache(location) if kind == "sqlite" else DirectoryCache(location)
-
-
-def _hammer(kind: str, location: str, worker_id: int, errors):
+def _hammer(location: str, worker_id: int, errors):
     """Interleave puts and validated gets across shared + distinct keys."""
     try:
-        cache = _open(kind, location)
+        cache = SQLiteCache(location)
         tags = _shared_tags() + _distinct_tags(worker_id)
         for round_index in range(ROUNDS):
             for tag in tags:
@@ -108,15 +103,13 @@ def _hammer(kind: str, location: str, worker_id: int, errors):
         errors.put(f"worker {worker_id}:\n{traceback.format_exc()}")
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite"])
+@pytest.mark.parametrize("kind", ["sqlite"])
 def test_parallel_writers_never_corrupt(tmp_path, kind):
-    location = str(
-        tmp_path / ("cache.sqlite" if kind == "sqlite" else "cache")
-    )
+    location = str(tmp_path / "cache.sqlite")
     context = multiprocessing.get_context("fork" if sys.platform != "win32" else "spawn")
     errors = context.Queue()
     workers = [
-        context.Process(target=_hammer, args=(kind, location, worker_id, errors))
+        context.Process(target=_hammer, args=(location, worker_id, errors))
         for worker_id in range(WORKERS)
     ]
     for worker in workers:
@@ -132,7 +125,7 @@ def test_parallel_writers_never_corrupt(tmp_path, kind):
     assert not failures, "\n".join(failures)
 
     # Fresh reader: every key must hold its exact promised payload.
-    cache = _open(kind, location)
+    cache = SQLiteCache(location)
     all_tags = _shared_tags() + [
         tag for worker_id in range(WORKERS) for tag in _distinct_tags(worker_id)
     ]
@@ -148,13 +141,13 @@ def test_parallel_writers_never_corrupt(tmp_path, kind):
 
 
 def test_same_key_writers_agree_byte_for_byte(tmp_path):
-    """Two processes writing one key concurrently leave one valid blob."""
-    location = str(tmp_path / "cache")
+    """Two processes writing one key concurrently leave one valid row."""
+    location = str(tmp_path / "cache.sqlite")
     context = multiprocessing.get_context("fork" if sys.platform != "win32" else "spawn")
     errors = context.Queue()
     workers = [
-        context.Process(target=_hammer, args=("dir", location, 0, errors)),
-        context.Process(target=_hammer, args=("dir", location, 0, errors)),
+        context.Process(target=_hammer, args=(location, 0, errors)),
+        context.Process(target=_hammer, args=(location, 0, errors)),
     ]
     for worker in workers:
         worker.start()
@@ -162,13 +155,15 @@ def test_same_key_writers_agree_byte_for_byte(tmp_path):
         worker.join(timeout=120)
     assert all(worker.exitcode == 0 for worker in workers)
     assert errors.empty()
-    cache = DirectoryCache(location)
+    cache = SQLiteCache(location)
     for tag in _shared_tags() + _distinct_tags(0):
-        path = cache.path_for(_key(tag))
-        with open(path) as handle:
-            text = handle.read()
-        # Complete canonical envelope, trailing newline, parseable.
-        assert text.endswith("\n")
-        assert dataclasses.asdict(_metrics_for(tag))["name"] in text
+        rows = cache._conn.execute(
+            "SELECT payload FROM results WHERE key = ?", (_key(tag),)
+        ).fetchall()
+        # One row holding the complete canonical envelope, byte for byte.
+        assert rows == [
+            (canonical_dumps(metrics_to_payload(_key(tag), _metrics_for(tag))),)
+        ]
         assert cache.get(_key(tag)) == _metrics_for(tag)
     assert cache.stats.corrupt == 0
+    cache.close()

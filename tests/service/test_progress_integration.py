@@ -1,6 +1,7 @@
 """Progress through the service: serial/pool parity, CLI streams, LRU GC."""
 
 import json
+import os
 import sys
 
 import pytest
@@ -29,7 +30,7 @@ def _events(jobs=2, chunk_size=None, **kwargs):
     sink = CollectingProgress()
     report = run_batch(
         paper_corpus(N), MACHINE, jobs=jobs, chunk_size=chunk_size,
-        use_cache=False, progress=sink, **kwargs,
+        progress=sink, **kwargs,
     )
     return report, sink.events
 
@@ -59,12 +60,11 @@ def test_submitted_events_arrive_in_index_order():
 
 
 def test_cache_hits_emit_cached_without_started(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    run_batch(paper_corpus(N), MACHINE, cache_dir=cache_dir)
+    cache = SQLiteCache(str(tmp_path / "cache.sqlite"))
+    run_batch(paper_corpus(N), MACHINE, cache=cache)
     sink = CollectingProgress()
-    report = run_batch(
-        paper_corpus(N), MACHINE, cache_dir=cache_dir, progress=sink
-    )
+    report = run_batch(paper_corpus(N), MACHINE, cache=cache, progress=sink)
+    cache.close()
     assert report.cache.hits == N
     assert lifecycle_sequence(sink.events) == {
         index: [KIND_SUBMITTED, KIND_CACHED] for index in range(N)
@@ -93,7 +93,7 @@ def test_crashed_job_emits_quarantined_then_terminal(chunk_size):
 def test_progress_log_and_report_fields(tmp_path):
     log = str(tmp_path / "p.jsonl")
     report = run_batch(
-        paper_corpus(4), MACHINE, use_cache=False, progress_log=log
+        paper_corpus(4), MACHINE, progress_log=log
     )
     from repro.obs.progress import load_progress_log
 
@@ -259,21 +259,34 @@ def test_lru_age_bound_uses_access_time(tmp_path, monkeypatch):
 
 
 def test_directory_cache_lru_falls_back_to_mtime(tmp_path):
-    from repro.service.cache import DirectoryCache
+    """An entry imported unread from the legacy directory layout ages
+    by its blob's mtime under both policies."""
+    from repro.canonical import canonical_dumps
+    from repro.service.cache import metrics_to_payload
 
-    cache = DirectoryCache(str(tmp_path / "cache"))
-    cache.put("aa", _metrics())
+    key = "aa" + "0" * 62
+    blob = tmp_path / "legacy" / key[:2] / f"{key}.json"
+    blob.parent.mkdir(parents=True)
+    blob.write_text(canonical_dumps(metrics_to_payload(key, _metrics())))
+    os.utime(blob, (4000.0, 4000.0))
+    cache = SQLiteCache(str(tmp_path / "c.sqlite"))
+    assert cache.import_directory(str(tmp_path / "legacy")) == 1
     for entry in cache.entries():
-        assert entry.accessed_unix == entry.created_unix
+        assert entry.accessed_unix == entry.created_unix == 4000.0
     # Both policies behave identically when access == creation.
-    assert collect_garbage(cache, policy="lru").examined == 1
+    for policy in ("lru", "oldest"):
+        report = collect_garbage(
+            cache, max_age_seconds=500.0, policy=policy, now=4400.0
+        )
+        assert report.examined == 1 and report.removed == 0
+    cache.close()
 
 
 def test_collect_garbage_rejects_unknown_policy(tmp_path):
-    from repro.service.cache import DirectoryCache
-
+    cache = SQLiteCache(str(tmp_path / "c.sqlite"))
     with pytest.raises(ValueError):
-        collect_garbage(DirectoryCache(str(tmp_path)), policy="newest")
+        collect_garbage(cache, policy="newest")
+    cache.close()
 
 
 def test_sqlite_schema_migration_adds_access_column(tmp_path):
