@@ -159,9 +159,9 @@ def run_corpus(
     worker processes, per-job ``timeout``, and a content-addressed
     result cache (the caller opens and closes it).  The service
     path returns metrics in the same order with identical values.
-    ``tracer``/``profiler`` hooks cross process boundaries via per-job
-    spool files merged in submission order, so observability is
-    identical at any job count (modulo timestamps); ``metrics``
+    ``tracer``/``profiler`` hooks cross process boundaries inside each
+    job's result and are merged in submission order, so observability
+    is identical at any job count (modulo timestamps); ``metrics``
     additionally receives ``service.*`` aggregates.
     """
     machine = machine or cydra5()

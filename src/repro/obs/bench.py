@@ -722,18 +722,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         help="exit non-zero if --compare finds a regression",
     )
     parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.02,
-        help="relative delta considered noise even with zero IQR (default 0.02)",
-    )
-    parser.add_argument(
-        "--iqr-factor",
-        type=float,
-        default=2.0,
-        help="IQR multiples added to the noise allowance (default 2.0)",
-    )
-    parser.add_argument(
         "--gate-time",
         action="store_true",
         help="let wall-clock metrics gate --fail-on-regress (off by default: "
@@ -755,8 +743,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
             args.compare[0],
             args.compare[1],
             fail_on_regress=args.fail_on_regress,
-            threshold=args.threshold,
-            iqr_factor=args.iqr_factor,
             gate_time=args.gate_time,
         )
 

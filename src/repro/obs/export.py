@@ -14,13 +14,14 @@ in ``args``, and the number of currently placed operations a counter
 from __future__ import annotations
 
 import json
-from typing import Iterable, List
+from typing import Iterable, List, Union
 
 from repro.obs.trace import (
     AttemptFail,
     AttemptStart,
     Eject,
     IIEscalate,
+    JobStart,
     Place,
     ScheduleFound,
     TraceEvent,
@@ -33,21 +34,50 @@ def to_jsonl(events: Iterable[TraceEvent]) -> str:
     return "\n".join(json.dumps(event.to_dict(), sort_keys=True) for event in events)
 
 
-def write_jsonl(events: Iterable[TraceEvent], path: str) -> None:
+def write_jsonl(records: Iterable[Union[TraceEvent, dict]], path: str) -> None:
+    """Write events, or already-serialized event dicts (``batch --trace``
+    writes loop/job-tagged ones), one sorted-key JSON object per line."""
     with open(path, "w") as handle:
-        text = to_jsonl(events)
-        if text:
-            handle.write(text + "\n")
+        for record in records:
+            if isinstance(record, TraceEvent):
+                record = record.to_dict()
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _is_batch_record(record) -> bool:
+    """A ``batch --trace`` line: a scheduler event tagged with its job."""
+    return (
+        isinstance(record, dict)
+        and record.get("kind") != JobStart.kind
+        and "job" in record
+        and "loop" in record
+    )
 
 
 def load_jsonl(path: str) -> List[TraceEvent]:
-    """Inverse of :func:`write_jsonl`: typed events, seq/ts restored."""
+    """Inverse of :func:`write_jsonl` for plain event streams: typed
+    events, seq/ts restored.
+
+    Raises ``ValueError`` prefixed ``PATH:LINE:`` on a line that is not
+    one trace event.  Loop-tagged ``batch --trace`` streams are rejected
+    with a pointer to ``repro report --trace``, which reads them.
+    """
     events: List[TraceEvent] = []
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                events.append(event_from_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if _is_batch_record(record):
+                    raise ValueError(
+                        "loop-tagged `repro batch --trace` record; read "
+                        "batch traces with `repro report --trace`"
+                    )
+                events.append(event_from_dict(record))
+            except ValueError as error:
+                raise ValueError(f"{path}:{lineno}: {error}") from error
     return events
 
 

@@ -577,11 +577,7 @@ def _compare_main(args) -> int:
                 f"run #{old_run.run_id} -> #{new_run.run_id} ==="
             )
             deltas = compare_payload_pair(
-                old_run.payload,
-                new_run.payload,
-                threshold=args.threshold,
-                iqr_factor=args.iqr_factor,
-                gate_time=args.gate_time,
+                old_run.payload, new_run.payload, gate_time=args.gate_time
             )
             print(render_table(deltas))
             for warning in provenance_mismatches(
@@ -660,8 +656,6 @@ def build_history_parser():
     compare.add_argument("--scenario", help="restrict to one scenario")
     compare.add_argument("--old", type=int, help="old run id")
     compare.add_argument("--new", type=int, help="new run id")
-    compare.add_argument("--threshold", type=float, default=0.02)
-    compare.add_argument("--iqr-factor", type=float, default=2.0)
     compare.add_argument(
         "--gate-time", action="store_true",
         help="let wall-clock regressions gate --fail-on-regress",

@@ -103,18 +103,31 @@ class ProgressEvent:
         return record
 
 
+def _convert(record: dict, kind: str, name: str, convert, default=None):
+    value = record.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} record: bad field {name!r}: {value!r}") from None
+
+
 def event_from_dict(record: dict) -> ProgressEvent:
-    """Decode one JSONL record (raises ``ValueError`` on junk)."""
+    """Decode one JSONL record (raises ``ValueError`` naming the bad or
+    missing field)."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
     if record.get("schema") != PROGRESS_SCHEMA:
         raise ValueError(f"not a progress record: {record.get('schema')!r}")
     kind = record.get("kind")
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown progress kind {kind!r}")
+    if "job" not in record:
+        raise ValueError(f"{kind} record: missing field 'job'")
     return ProgressEvent(
         kind=kind,
-        job=int(record["job"]),
+        job=_convert(record, kind, "job", int),
         loop=str(record.get("loop", "")),
-        ts=float(record.get("ts", 0.0)),
+        ts=_convert(record, kind, "ts", float, 0.0),
         status=record.get("status"),
         seconds=record.get("seconds"),
         ratio=record.get("ratio"),
@@ -123,13 +136,20 @@ def event_from_dict(record: dict) -> ProgressEvent:
 
 
 def load_progress_log(path: str) -> List[ProgressEvent]:
-    """Read a ``--progress-log`` JSONL file back into events."""
+    """Read a ``--progress-log`` JSONL file back into events.
+
+    Raises ``ValueError`` prefixed ``PATH:LINE:`` on a bad record.
+    """
     events = []
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(event_from_dict(json.loads(line)))
+            except ValueError as error:
+                raise ValueError(f"{path}:{lineno}: {error}") from error
     return events
 
 

@@ -5,9 +5,9 @@ metric-by-metric, and classifies each delta as a regression, an
 improvement, or within noise.  The noise model is per metric:
 
 * every metric entry records the IQR of its repeat samples, so the
-  allowance for metric *m* is ``threshold + iqr_factor * IQR_m / |old|``
+  allowance for metric *m* is ``NOISE_FLOOR + IQR_FACTOR * IQR_m / |old|``
   — a metric that was noisy when measured gets a proportionally wider
-  band, while a perfectly stable one is held to the flat threshold;
+  band, while a perfectly stable one is held to the flat floor;
 * deterministic metrics (``kind == "count"``: II-vs-MII, ejections,
   success rate, ...) are identical across machines for a fixed corpus,
   so they always gate ``--fail-on-regress``;
@@ -30,6 +30,12 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.bench import BENCH_SCHEMA, load_payload
+
+#: Relative delta always treated as noise, even with zero IQR.
+NOISE_FLOOR = 0.02
+
+#: IQR multiples (relative to the old value) added to the noise floor.
+IQR_FACTOR = 2.0
 
 #: Relative-delta floor that avoids dividing by a ~zero old value.
 _EPSILON = 1e-12
@@ -61,8 +67,6 @@ def compare_metric(
     name: str,
     old: Optional[dict],
     new: Optional[dict],
-    threshold: float = 0.02,
-    iqr_factor: float = 2.0,
     gate_time: bool = False,
 ) -> MetricDelta:
     """Classify one metric's delta under the noise model."""
@@ -86,7 +90,7 @@ def compare_metric(
     rel = (new["value"] - old["value"]) / base
     delta.worse_by = rel if delta.direction == "lower" else -rel
     iqr = max(old.get("iqr", 0.0), new.get("iqr", 0.0))
-    delta.allowance = threshold + iqr_factor * iqr / base
+    delta.allowance = NOISE_FLOOR + IQR_FACTOR * iqr / base
     if delta.worse_by > delta.allowance:
         delta.status = "regression"
     elif delta.worse_by < -delta.allowance:
@@ -97,8 +101,6 @@ def compare_metric(
 def compare_payload_pair(
     old_payload: dict,
     new_payload: dict,
-    threshold: float = 0.02,
-    iqr_factor: float = 2.0,
     gate_time: bool = False,
 ) -> List[MetricDelta]:
     """Compare every metric of one scenario's old/new payloads."""
@@ -112,8 +114,6 @@ def compare_payload_pair(
             name,
             old_metrics.get(name),
             new_metrics.get(name),
-            threshold=threshold,
-            iqr_factor=iqr_factor,
             gate_time=gate_time,
         )
         for name in names
@@ -142,8 +142,6 @@ def collect_bench_files(path: str) -> Dict[str, dict]:
 def compare_sets(
     old_payloads: Dict[str, dict],
     new_payloads: Dict[str, dict],
-    threshold: float = 0.02,
-    iqr_factor: float = 2.0,
     gate_time: bool = False,
 ) -> List[MetricDelta]:
     """Compare two scenario->payload maps (scenarios matched by name)."""
@@ -168,10 +166,7 @@ def compare_sets(
             )
             continue
         deltas.extend(
-            compare_payload_pair(
-                old, new, threshold=threshold, iqr_factor=iqr_factor,
-                gate_time=gate_time,
-            )
+            compare_payload_pair(old, new, gate_time=gate_time)
         )
     return deltas
 
@@ -372,8 +367,6 @@ def compare_main(
     old_path: str,
     new_path: str,
     fail_on_regress: bool = False,
-    threshold: float = 0.02,
-    iqr_factor: float = 2.0,
     gate_time: bool = False,
 ) -> int:
     """CLI entry for ``python -m repro bench --compare OLD NEW``."""
@@ -383,13 +376,7 @@ def compare_main(
     except (OSError, ValueError) as error:
         print(f"error: {error}")
         return 2
-    deltas = compare_sets(
-        old_payloads,
-        new_payloads,
-        threshold=threshold,
-        iqr_factor=iqr_factor,
-        gate_time=gate_time,
-    )
+    deltas = compare_sets(old_payloads, new_payloads, gate_time=gate_time)
     print(render_table(deltas))
     print()
     for warning in set_provenance_warnings(old_payloads, new_payloads):

@@ -152,6 +152,10 @@ class JobStart(TraceEvent):
     loop: str
 
 
+def _names(names: Iterable[str]) -> str:
+    return ", ".join(repr(name) for name in names)
+
+
 #: kind tag -> event class, for deserialization (see obs.export).
 EVENT_TYPES: Dict[str, type] = {
     cls.kind: cls
@@ -171,14 +175,35 @@ EVENT_TYPES: Dict[str, type] = {
 
 
 def event_from_dict(payload: dict) -> TraceEvent:
-    """Rebuild a typed event from its ``to_dict`` representation."""
+    """Rebuild a typed event from its ``to_dict`` representation.
+
+    Raises ``ValueError`` naming the unknown kind or the unexpected or
+    missing fields.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     data = dict(payload)
+    if "kind" not in data:
+        raise ValueError("missing field 'kind'")
     kind = data.pop("kind")
     seq = data.pop("seq", 0)
     ts = data.pop("ts", 0.0)
-    cls = EVENT_TYPES.get(kind)
+    cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown trace event kind {kind!r}")
+    fields = dataclasses.fields(cls)
+    unexpected = sorted(set(data) - {field.name for field in fields})
+    if unexpected:
+        raise ValueError(f"{kind} event: unexpected field(s) {_names(unexpected)}")
+    missing = [
+        field.name
+        for field in fields
+        if field.name not in data
+        and field.default is dataclasses.MISSING
+        and field.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValueError(f"{kind} event: missing field(s) {_names(missing)}")
     event = cls(**data)
     event.seq = seq
     event.ts = ts

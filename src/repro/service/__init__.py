@@ -16,16 +16,14 @@ measure_loop` into exactly that service:
   protocol;
 - :mod:`repro.service.jobs` — job/result records with an explicit
   status (``ok | failed | timeout | crashed | cached``), optional
-  per-job machines for heterogeneous sweeps, and deterministic result
-  ordering;
+  per-job machines for heterogeneous sweeps, deterministic result
+  ordering, and the per-job observation (trace, metrics, profile) an
+  observed job returns inside its result;
 - :mod:`repro.service.pool` — :func:`run_jobs`, the one dispatcher:
   the worker count picks in-process execution or the chunked process
   pool that keeps deserialized machines resident in workers, with
   in-worker wall-clock budgets, crash quarantine with bounded retry and
   graceful degradation to in-process serial execution;
-- :mod:`repro.service.spool` — per-job observability spool files
-  merged in submission order, so ``--trace``/``--explain`` cross
-  process boundaries deterministically;
 - :mod:`repro.service.batch` — the batch front end
   (``python -m repro batch``) tying the above together.
 """
@@ -62,7 +60,6 @@ from repro.service.keys import (
     machine_digest,
 )
 from repro.service.pool import PoolStats, run_jobs
-from repro.service.spool import SpoolMergeStats, merge_spools, write_spool
 from repro.service.batch import BatchReport, batch_main, run_batch
 
 __all__ = [
@@ -93,9 +90,6 @@ __all__ = [
     "machine_digest",
     "PoolStats",
     "run_jobs",
-    "SpoolMergeStats",
-    "merge_spools",
-    "write_spool",
     "BatchReport",
     "batch_main",
     "run_batch",

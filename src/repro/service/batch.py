@@ -40,10 +40,11 @@ one; the CLI opens a single-file sqlite database (``--cache-db``, WAL
 mode, shareable across CI runs), optionally behind a ``repro serve``
 daemon's shared cache (``--cache-url``).
 
-Tracer/profiler hooks cross process boundaries via per-job JSONL spool
-files merged in submission order (:mod:`repro.service.spool`), so
-``--trace`` output is identical at any ``--jobs`` level, modulo
-timestamps.
+Tracer/profiler hooks cross process boundaries inside the results:
+an observed job returns its trace events, metrics dump and profiler
+snapshot in its :class:`~repro.service.jobs.JobResult`, and
+:func:`run_batch` merges them in submission order, so ``--trace``
+output is identical at any ``--jobs`` level, modulo timestamps.
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ from repro.service.jobs import (
 )
 from repro.service.keys import cache_key
 from repro.service.pool import DEFAULT_FLIGHT_CAPACITY, PoolStats, run_jobs
-from repro.service.spool import (
-    SpoolMergeStats,
-    merge_spools,
-    record_spool_stats,
-    write_trace_records,
-)
 
 @dataclasses.dataclass
 class BatchReport:
@@ -105,7 +100,6 @@ class BatchReport:
     cache: Optional[CacheStats]  # None when caching was disabled
     wall_seconds: float
     cache_location: Optional[str] = None  # backend.describe(), if caching
-    spool: Optional[SpoolMergeStats] = None  # None unless observability on
     trace_records: Optional[List[dict]] = None  # merged events, loop-tagged
     stragglers: Optional[List[Straggler]] = None  # None unless progress on
     straggler_factor: Optional[float] = None
@@ -150,8 +144,7 @@ class BatchReport:
         """``(status_lines, diagnostic_lines)`` for the CLI wrap-up.
 
         Status lines (counts, cache, pool, latency) describe the run;
-        diagnostic lines (spool degradation, stragglers, per-job
-        errors) are warnings and always belong on stderr so stdout can
+        diagnostic lines (stragglers, per-job errors) are warnings and always belong on stderr so stdout can
         carry machine-readable output (``--out -``).
         """
         counts = self.counts()
@@ -202,12 +195,6 @@ class BatchReport:
             )
 
         diagnostics: List[str] = []
-        if self.spool is not None and self.spool.degraded:
-            diagnostics.append(
-                f"spool: DEGRADED  {self.spool.missing} missing, "
-                f"{self.spool.corrupt} corrupt "
-                f"(merged {self.spool.merged})"
-            )
         if self.stragglers:
             worst = max(self.stragglers, key=lambda s: s.ratio)
             factor = self.straggler_factor or 0.0
@@ -248,6 +235,36 @@ def _record_metrics(registry, report: BatchReport) -> None:
     latencies = registry.histogram("service.job.seconds")
     for seconds in report.job_latencies():
         latencies.record(seconds)
+
+
+def _merge_observations(
+    results: Sequence[JobResult], tracer, metrics, profiler
+) -> Tuple[List[dict], List[JobResult]]:
+    """Fold every observed job into the session sinks, in result order.
+
+    Returns the loop/job-tagged trace records (what ``--trace`` writes)
+    and the results with their observations stripped.  Each record is
+    built before its event is re-emitted, because a session
+    :class:`~repro.obs.trace.CollectingTracer` restamps ``seq``.
+    """
+    records: List[dict] = []
+    stripped: List[JobResult] = []
+    for result in results:
+        seen = result.observation
+        if seen is not None:
+            for event in seen.events:
+                records.append(
+                    {**event.to_dict(), "loop": result.name, "job": result.index}
+                )
+                if tracer is not None and tracer.enabled:
+                    tracer.emit(event)
+            if metrics is not None:
+                metrics.merge_dump(seen.metrics_dump)
+            if profiler is not None:
+                profiler.merge_snapshot(seen.profile_snapshot)
+            result = dataclasses.replace(result, observation=None)
+        stripped.append(result)
+    return records, stripped
 
 
 def run_batch(
@@ -378,7 +395,6 @@ def run_batch(
         or (tracer is not None and getattr(tracer, "enabled", True))
         or (profiler is not None and getattr(profiler, "enabled", True))
     )
-    spool_dir = tempfile.mkdtemp(prefix="repro-spool-") if observe else None
     # Fatal-signal spill area: a worker that dies mid-job writes its
     # flight ring here so the quarantine path can attach it post-mortem.
     flight_dir = (
@@ -391,7 +407,7 @@ def run_batch(
             workers=jobs,
             timeout=timeout,
             max_retries=max_retries,
-            spool_dir=spool_dir,
+            observe=observe,
             progress=tracker.emit if tracker is not None else None,
             flight_dir=flight_dir,
             flight_events=flight_events,
@@ -405,15 +421,11 @@ def run_batch(
 
         ordered = order_results(cached_results + list(computed))
         trace_records: Optional[List[dict]] = None
-        spool_stats: Optional[SpoolMergeStats] = None
         if observe:
-            trace_records, spool_stats = merge_spools(
-                spool_dir, ordered, tracer=tracer, metrics=metrics,
-                profiler=profiler,
+            trace_records, ordered = _merge_observations(
+                ordered, tracer, metrics, profiler
             )
     finally:
-        if spool_dir is not None:
-            shutil.rmtree(spool_dir, ignore_errors=True)
         if flight_dir is not None:
             shutil.rmtree(flight_dir, ignore_errors=True)
         if tracker is not None:
@@ -425,14 +437,11 @@ def run_batch(
         cache=cache.stats if cache is not None else None,
         wall_seconds=time.perf_counter() - started,
         cache_location=cache.describe() if cache is not None else None,
-        spool=spool_stats,
         trace_records=trace_records,
         stragglers=tracker.stragglers if tracker is not None else None,
         straggler_factor=straggler_factor,
     )
     _record_metrics(metrics, report)
-    if spool_stats is not None:
-        record_spool_stats(metrics, spool_stats)
     return report
 
 
@@ -700,16 +709,11 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flight-events",
         type=int,
-        default=None,
+        default=DEFAULT_FLIGHT_CAPACITY,
         metavar="N",
         help="per-job flight-recorder ring capacity: the last N scheduler "
         "events attached to crash/timeout/failure records "
-        f"(default {DEFAULT_FLIGHT_CAPACITY})",
-    )
-    parser.add_argument(
-        "--no-flight",
-        action="store_true",
-        help="disable the per-job flight recorder entirely",
+        f"(default {DEFAULT_FLIGHT_CAPACITY}; 0 disables the recorder)",
     )
     parser.add_argument(
         "--explain-failures",
@@ -851,12 +855,7 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
         print("error: --straggler-factor must exceed 1.0", file=sys.stderr)
         return 2
 
-    flight_events = args.flight_events
-    if flight_events is None:
-        flight_events = DEFAULT_FLIGHT_CAPACITY
-    if args.no_flight:
-        flight_events = 0
-    if flight_events < 0:
+    if args.flight_events < 0:
         print("error: --flight-events must be >= 0", file=sys.stderr)
         return 2
 
@@ -904,7 +903,7 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             progress=TTYProgress(total=len(programs)) if show_tty else None,
             progress_log=args.progress_log,
             straggler_factor=args.straggler_factor,
-            flight_events=flight_events,
+            flight_events=args.flight_events,
         )
     except OSError as exc:  # e.g. unwritable --progress-log
         print(f"error: {exc}", file=sys.stderr)
@@ -955,14 +954,17 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             return 2
         print(f"history: run #{run_id} -> {args.history}", file=status_stream)
     if args.trace:
+        from repro.obs.export import write_jsonl
+
+        records = report.trace_records or []
         try:
-            write_trace_records(report.trace_records or [], args.trace)
+            write_jsonl(records, args.trace)
         except OSError as exc:
             print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
             return 2
+        jobs_traced = len({record["job"] for record in records})
         print(
-            f"trace: {len(report.trace_records or [])} events "
-            f"({report.spool.merged if report.spool else 0} jobs) -> {args.trace}",
+            f"trace: {len(records)} events ({jobs_traced} jobs) -> {args.trace}",
             file=status_stream,
         )
     if args.metrics_out:

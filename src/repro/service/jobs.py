@@ -16,6 +16,11 @@ is its outcome with an explicit status:
 Result order is deterministic: :func:`order_results` sorts by the job's
 submission index, so a parallel batch returns metrics in exactly the
 order the serial path would.
+
+An observed job (``--trace``, a session tracer or profiler) also
+returns a :class:`JobObservation` inside its result: the result already
+travels back to the parent, in-process or through the pool's pickled
+future, so that is the one channel observability needs.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.metrics import LoopMetrics
+from repro.obs.trace import TraceEvent
 
 JOB_OK = "ok"
 JOB_FAILED = "failed"
@@ -64,6 +70,19 @@ class ScheduleJob:
 
 
 @dataclasses.dataclass
+class JobObservation:
+    """What one observed job recorded while it ran.
+
+    ``events`` keep their job-local ``seq``; timed-out and failed jobs
+    return the partial trace recorded before the fault.
+    """
+
+    events: List[TraceEvent]
+    metrics_dump: dict  # MetricsRegistry.dump()
+    profile_snapshot: dict  # Profiler.snapshot()
+
+
+@dataclasses.dataclass
 class JobResult:
     """Outcome of one job."""
 
@@ -78,6 +97,9 @@ class JobResult:
     #: failure records only: the last scheduler decisions in flight
     #: when the job timed out, raised, or killed its worker.
     flight: Optional[List[dict]] = None
+    #: Set only while the result travels back to ``run_batch``, which
+    #: merges it into the session sinks and strips it.
+    observation: Optional[JobObservation] = None
 
     def __post_init__(self) -> None:
         if self.status not in JOB_STATUSES:

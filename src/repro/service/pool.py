@@ -39,9 +39,10 @@ any crash-recovery resubmission.  ``progress`` is a plain callable
 (``ProgressTracker.emit``); ``None`` skips every emission.
 
 Results are deterministic regardless of the path, worker count or chunk
-size: the scheduler itself is a pure function, per-job spool files keep
-observability identical (:mod:`repro.service.spool`), and
-:func:`repro.service.jobs.order_results` restores submission order.
+size: the scheduler itself is a pure function, an observed job returns
+its trace, metrics and profile inside its :class:`JobResult` on either
+path, and :func:`repro.service.jobs.order_results` restores submission
+order.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from repro.service.jobs import (
     JOB_FAILED,
     JOB_OK,
     JOB_TIMEOUT,
+    JobObservation,
     JobResult,
     ScheduleJob,
     order_results,
@@ -118,7 +120,7 @@ def _inject_fault(fault: str) -> None:
 # Flight-recorder spill files (crash forensics across process death)
 # ----------------------------------------------------------------------
 def flight_path(flight_dir: str, index: int) -> str:
-    """Spill file for one job (mirrors the spool naming scheme)."""
+    """Spill file for one job."""
     return os.path.join(flight_dir, f"flight-{index:06d}.json")
 
 
@@ -163,10 +165,10 @@ def attach_flight(result: JobResult, flight_dir: Optional[str]) -> JobResult:
 class _FlightTee:
     """Forward events to a primary tracer AND the flight ring.
 
-    Used when a job is both spooling a full trace and flight-recording:
-    the :class:`~repro.obs.trace.CollectingTracer` stamps seq/ts as
-    before (so spool output is unchanged) and the ring keeps a
-    reference to the last N of the same events.
+    Used when a job is both observed and flight-recording: the
+    :class:`~repro.obs.trace.CollectingTracer` stamps seq/ts (so the
+    observed trace is unchanged) and the ring keeps a reference to the
+    last N of the same events.
     """
 
     enabled = True
@@ -184,17 +186,18 @@ def execute_job(
     job: ScheduleJob,
     machine,
     timeout: Optional[float] = None,
-    spool_dir: Optional[str] = None,
+    observe: bool = False,
     flight_dir: Optional[str] = None,
     flight_events: int = DEFAULT_FLIGHT_CAPACITY,
 ) -> JobResult:
     """Run one job to a structured result; never raises.
 
     ``job.machine`` (when set) overrides the batch-default ``machine``.
-    With a ``spool_dir``, the job runs under its own tracer, metrics
-    registry and profiler and writes their contents to a per-job spool
-    file (:mod:`repro.service.spool`) for the parent to merge — that is
-    how ``--trace``/``--explain`` cross process boundaries.
+    With ``observe``, the job runs under its own tracer, metrics
+    registry and profiler and returns their contents in
+    ``result.observation`` for the parent to merge — that is how
+    ``--trace``/``--explain`` cross process boundaries.  Timed-out and
+    failed jobs return the partial trace recorded before the fault.
 
     ``flight_events > 0`` (the default) runs the job under a bounded
     :class:`~repro.obs.trace.FlightRecorder`; a timeout or raise
@@ -215,7 +218,7 @@ def execute_job(
 
     machine = job.machine if job.machine is not None else machine
     tracer = registry = profiler = None
-    if spool_dir is not None:
+    if observe:
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.prof import Profiler
         from repro.obs.trace import CollectingTracer
@@ -292,20 +295,6 @@ def execute_job(
                 signal.signal(signum, previous)
             except (ValueError, OSError):  # pragma: no cover - defensive
                 pass
-    if spool_dir is not None:
-        # Written after the alarm is disarmed so a budget expiry cannot
-        # truncate the spool mid-line; partial traces (timeout/failure)
-        # are still recorded — they are the interesting ones.
-        from repro.service.spool import write_spool
-
-        write_spool(
-            spool_dir,
-            job.index,
-            job.name,
-            tracer.events,
-            registry.dump(),
-            profiler.snapshot(),
-        )
     return JobResult(
         index=job.index,
         name=job.name,
@@ -316,6 +305,11 @@ def execute_job(
         flight=(
             recorder.dump()
             if recorder is not None and status != JOB_OK
+            else None
+        ),
+        observation=(
+            JobObservation(tracer.events, registry.dump(), profiler.snapshot())
+            if observe
             else None
         ),
     )
@@ -379,7 +373,7 @@ def run_quarantined(
     max_retries: int,
     backoff: float,
     stats: PoolStats,
-    spool_dir: Optional[str] = None,
+    observe: bool = False,
     flight_dir: Optional[str] = None,
     flight_events: int = DEFAULT_FLIGHT_CAPACITY,
 ) -> JobResult:
@@ -392,7 +386,7 @@ def run_quarantined(
     ring (when one exists) so the failure record still names the ops
     in flight when the worker died.
     """
-    job_args = (timeout, spool_dir, flight_dir, flight_events)
+    job_args = (timeout, observe, flight_dir, flight_events)
     attempt = 0
     while True:
         try:
@@ -517,14 +511,14 @@ def _run_pool(
     timeout: Optional[float],
     max_retries: int,
     backoff: float,
-    spool_dir: Optional[str],
+    observe: bool,
     progress,
     flight_dir: Optional[str],
     flight_events: int,
     stats: PoolStats,
 ) -> List[JobResult]:
     """Run jobs in chunks on a process pool, down the fault ladder."""
-    job_args = (timeout, spool_dir, flight_dir, flight_events)
+    job_args = (timeout, observe, flight_dir, flight_events)
     table, refs = _machine_table(jobs, machine)
     machines_blob = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
     # Chunk payloads reference machines by digest only; strip the
@@ -613,7 +607,7 @@ def _run_pool(
                 _emit(progress, KIND_QUARANTINED, job)
                 results[job.index] = run_quarantined(
                     job, machine, timeout, max_retries, backoff, stats,
-                    spool_dir=spool_dir, flight_dir=flight_dir,
+                    observe=observe, flight_dir=flight_dir,
                     flight_events=flight_events,
                 )
                 _emit_result(progress, results[job.index])
@@ -628,7 +622,7 @@ def run_jobs(
     timeout: Optional[float] = None,
     max_retries: int = 2,
     backoff: float = 0.1,
-    spool_dir: Optional[str] = None,
+    observe: bool = False,
     progress=None,
     flight_dir: Optional[str] = None,
     flight_events: int = DEFAULT_FLIGHT_CAPACITY,
@@ -639,6 +633,8 @@ def run_jobs(
     ``workers <= 1`` runs every job in-process; more workers use the
     chunked pool.  ``chunk_size`` fixes the jobs per pool future
     (default: ``ceil(n / (workers * CHUNKS_PER_WORKER))``).
+    ``observe`` makes every job return its trace, metrics and profile
+    in ``result.observation`` (see :func:`execute_job`).
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -652,12 +648,12 @@ def run_jobs(
     )
     if serial or len(jobs) <= 1:
         results = _run_in_process(
-            jobs, machine, progress, timeout, spool_dir, flight_dir, flight_events
+            jobs, machine, progress, timeout, observe, flight_dir, flight_events
         )
     else:
         results = _run_pool(
             jobs, machine, workers, chunk_size, timeout, max_retries, backoff,
-            spool_dir, progress, flight_dir, flight_events, stats,
+            observe, progress, flight_dir, flight_events, stats,
         )
     stats.wall_seconds = time.perf_counter() - started
     ordered = order_results(results)

@@ -1,6 +1,9 @@
 """Export formats: JSONL round trip and Chrome trace-event structure."""
 
 import json
+import re
+
+import pytest
 
 from repro.core import modulo_schedule
 from repro.obs import (
@@ -49,6 +52,37 @@ def test_jsonl_empty_trace(tmp_path):
     write_jsonl([], path)
     assert load_jsonl(path) == []
     assert to_jsonl([]) == ""
+
+
+# ----------------------------------------------------------------------
+# Bad input: a located ValueError, never a bare TypeError
+# ----------------------------------------------------------------------
+def test_load_jsonl_points_batch_traces_at_report(tmp_path):
+    from repro.obs.report import load_trace_records
+    from repro.service.batch import batch_main
+
+    path = str(tmp_path / "batch.jsonl")
+    assert batch_main(
+        ["--corpus", "1", "--no-cache", "--no-progress", "--trace", path]
+    ) == 0
+    with pytest.raises(
+        ValueError, match=rf"^{re.escape(path)}:1: .*`repro report --trace`"
+    ):
+        load_jsonl(path)
+    assert load_trace_records(path)  # which keeps reading batch traces
+
+
+def test_load_jsonl_names_missing_fields_with_location(machine, tmp_path):
+    _, events = traced(machine)
+    path = str(tmp_path / "bad.jsonl")
+    with open(path, "w") as handle:
+        handle.write(json.dumps(events[0].to_dict()) + "\n")
+        handle.write(json.dumps({"kind": "place"}) + "\n")
+    with pytest.raises(
+        ValueError,
+        match=rf"^{re.escape(path)}:2: place event: missing field\(s\) 'oid', 'cycle'$",
+    ):
+        load_jsonl(path)
 
 
 def test_chrome_trace_structure(machine, tmp_path):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -64,6 +65,20 @@ def test_jsonl_sink_and_loader_roundtrip(tmp_path):
             record = json.loads(line)
             assert record["schema"] == "repro.progress"
             assert record["v"] == 1
+
+
+def test_load_progress_log_names_missing_job_with_location(tmp_path):
+    path = str(tmp_path / "p.jsonl")
+    with open(path, "w") as handle:
+        handle.write(json.dumps(job_event(KIND_SUBMITTED, 0, "a").to_dict()) + "\n")
+        handle.write(
+            json.dumps({"schema": "repro.progress", "v": 1, "kind": "started"})
+            + "\n"
+        )
+    with pytest.raises(
+        ValueError, match=rf"^{re.escape(path)}:2: started record: missing field 'job'$"
+    ):
+        load_progress_log(path)
 
 
 def test_tty_progress_renders_counts_and_final_newline():

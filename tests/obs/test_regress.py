@@ -30,7 +30,7 @@ def _payload(scenario, **metrics):
 def test_flat_threshold_regression_on_deterministic_metric():
     old = metric(100, "ejections", direction="lower")
     new = metric(110, "ejections", direction="lower")
-    delta = compare_metric("s", "ejections_total", old, new, threshold=0.02)
+    delta = compare_metric("s", "ejections_total", old, new)
     assert delta.status == "regression"
     assert delta.gating is True
     assert delta.worse_by == pytest.approx(0.10)
@@ -47,12 +47,12 @@ def test_improvement_is_classified_not_gated():
 def test_within_flat_threshold_is_ok():
     old = metric(100, "ejections", direction="lower")
     new = metric(101, "ejections", direction="lower")
-    assert compare_metric("s", "e", old, new, threshold=0.02).status == "ok"
+    assert compare_metric("s", "e", old, new).status == "ok"
 
 
 def test_recorded_iqr_widens_the_noise_band():
     # +10% on a metric whose IQR was 8% of the old value: with
-    # iqr_factor=2 the allowance is 2% + 16% = 18%, so this is noise...
+    # IQR_FACTOR=2 the allowance is 2% + 16% = 18%, so this is noise...
     old = metric(1.0, "s", direction="lower", kind="time", iqr=0.08)
     new = metric(1.10, "s", direction="lower", kind="time", iqr=0.0)
     assert compare_metric("s", "wall", old, new).status == "ok"

@@ -1,8 +1,10 @@
-"""Cross-process observability: spool files, merge determinism, gap reporting."""
+"""Cross-process observability: each observed job returns its trace,
+metrics and profile inside its JobResult, and run_batch merges them in
+submission order."""
 
 import json
-import logging
-import os
+import multiprocessing
+import time
 
 import pytest
 
@@ -10,15 +12,7 @@ from repro.machine import cydra5
 from repro.obs import MetricsRegistry, Profiler
 from repro.obs.trace import CollectingTracer
 from repro.service.batch import run_batch
-from repro.service.jobs import JobResult
-from repro.service.spool import (
-    SpoolError,
-    merge_spools,
-    read_spool,
-    record_spool_stats,
-    spool_path,
-    write_spool,
-)
+from repro.service.cache import SQLiteCache
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
@@ -44,6 +38,8 @@ def test_trace_parity_serial_vs_chunked():
     # Every record is tagged with its loop and job index, job-local seq.
     first = chunked.trace_records[0]
     assert first["job"] == 0 and first["seq"] == 0 and first["loop"]
+    # The observation is merged, then stripped from the reported results.
+    assert all(r.observation is None for r in serial.results + chunked.results)
 
 
 def test_trace_parity_per_job_chunks():
@@ -60,8 +56,23 @@ def test_trace_parity_per_job_chunks():
 def test_session_tracer_receives_merged_events_across_processes():
     tracer = CollectingTracer()
     report = run_batch(paper_corpus(3), MACHINE, jobs=2, tracer=tracer)
-    assert report.spool.merged == 3
-    assert len(tracer.events) == report.spool.events > 0
+    assert {record["job"] for record in report.trace_records} == {0, 1, 2}
+    assert len(tracer.events) == len(report.trace_records) > 0
+    # The session tracer restamps seq; the records keep the job-local one.
+    assert [e.seq for e in tracer.events] == list(range(len(tracer.events)))
+    assert report.trace_records[-1]["seq"] < len(tracer.events) - 1
+
+
+def test_in_process_session_tracer_keeps_job_local_seq_in_records():
+    """In-process the session tracer restamps the very event objects the
+    job recorded, so each record must be built before re-emission."""
+    programs = paper_corpus(3)
+    plain = run_batch(programs, MACHINE, collect_trace=True)
+    tracer = CollectingTracer()
+    traced = run_batch(programs, MACHINE, tracer=tracer, collect_trace=True)
+    assert _records_without_ts(traced.trace_records) == _records_without_ts(
+        plain.trace_records
+    )
 
 
 def test_worker_metrics_and_profile_cross_process_boundary():
@@ -74,78 +85,72 @@ def test_worker_metrics_and_profile_cross_process_boundary():
     )
     snapshot = registry.snapshot()
     assert snapshot["timers"]["phase.recmii"]["count"] == 3
-    assert snapshot["counters"]["service.trace_spool.merged"] == 3
-    assert snapshot["counters"]["service.trace_spool.missing"] == 0
     assert profiler.snapshot()["spans"]
+
+
+def test_profile_span_calls_match_serial():
+    def spans(jobs):
+        profiler = Profiler()
+        run_batch(paper_corpus(4), MACHINE, jobs=jobs, profiler=profiler)
+        return {
+            path: entry["calls"]
+            for path, entry in profiler.snapshot()["spans"].items()
+        }
+
+    assert spans(1) == spans(2)
 
 
 def test_no_observers_means_no_spool_overhead():
     report = run_batch(paper_corpus(2), MACHINE, jobs=2)
-    assert report.spool is None and report.trace_records is None
-
-
-# ----------------------------------------------------------------------
-# Spool file round-trip and gap reporting
-# ----------------------------------------------------------------------
-def _ok_result(index):
-    return JobResult(index=index, name=f"loop{index}", status="ok")
-
-
-def test_spool_roundtrip(tmp_path):
-    from repro.obs.trace import Place
-
-    tracer = CollectingTracer()
-    tracer.emit(Place(oid=1, cycle=4))
-    registry = MetricsRegistry()
-    registry.counter("x").inc(2)
-    assert write_spool(
-        str(tmp_path), 7, "loop7", tracer.events, registry.dump(),
-        Profiler().snapshot(),
-    )
-    record = read_spool(str(tmp_path), 7)
-    assert record.job == 7 and record.loop == "loop7"
-    assert [e.kind for e in record.events] == ["place"]
-    assert record.metrics_dump["counters"]["x"] == 2
-    assert record.profile_snapshot is not None
-
-
-def test_missing_spool_is_counted_and_logged(tmp_path, caplog):
-    results = [_ok_result(0), _ok_result(1)]
-    write_spool(str(tmp_path), 0, "loop0", [], None, None)
-    records, stats = merge_spools(str(tmp_path), results)
-    assert stats.merged == 1 and stats.missing == 1 and stats.degraded
-    registry = MetricsRegistry()
-    with caplog.at_level(logging.WARNING, logger="repro.service"):
-        record_spool_stats(registry, stats)
-    assert "trace spool gap" in caplog.text
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["service.trace_spool.missing"] == 1
-    assert snapshot["counters"]["service.trace_spool.merged"] == 1
-
-
-def test_corrupt_spool_is_counted_not_raised(tmp_path):
-    write_spool(str(tmp_path), 0, "loop0", [], None, None)
-    with open(spool_path(str(tmp_path), 1), "w") as handle:
-        handle.write("{not json\n")
-    records, stats = merge_spools(str(tmp_path), [_ok_result(0), _ok_result(1)])
-    assert stats.merged == 1 and stats.corrupt == 1 and stats.degraded
-
-
-def test_truncated_and_bad_header_spools_raise_spool_error(tmp_path):
-    with open(spool_path(str(tmp_path), 0), "w") as handle:
-        handle.write(json.dumps({"type": "spool", "schema": "other"}) + "\n")
-    with pytest.raises(SpoolError, match="bad spool header"):
-        read_spool(str(tmp_path), 0)
-    with open(spool_path(str(tmp_path), 1), "w") as handle:
-        handle.write("")
-    with pytest.raises(SpoolError, match="empty"):
-        read_spool(str(tmp_path), 1)
+    assert report.trace_records is None
+    assert all(r.observation is None for r in report.results)
 
 
 def test_cached_jobs_are_skipped_by_merge(tmp_path):
-    results = [JobResult(index=0, name="loop0", status="cached")]
-    records, stats = merge_spools(str(tmp_path), results)
-    assert records == [] and stats.merged == 0 and not stats.degraded
+    """A cache hit replays no scheduler decisions: no trace records."""
+    programs = paper_corpus(2)
+    cache = SQLiteCache(str(tmp_path / "results.sqlite"))
+    try:
+        cold = run_batch(programs, MACHINE, cache=cache, collect_trace=True)
+        warm = run_batch(programs, MACHINE, cache=cache, collect_trace=True)
+    finally:
+        cache.close()
+    assert cold.trace_records
+    assert warm.counts() == {"cached": 2} and warm.trace_records == []
+
+
+# ----------------------------------------------------------------------
+# A job timed out by SIGALRM still returns its partial trace
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("jobs,chunk_size", [(1, None), (2, 1)])
+def test_timed_out_job_contributes_its_partial_trace(
+    monkeypatch, jobs, chunk_size
+):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit the patched scheduler only under fork")
+    import repro.experiments.runner as runner
+
+    programs = paper_corpus(3)
+    clean = run_batch(programs, MACHINE, collect_trace=True)
+    real_measure = runner.measure_loop
+
+    def measure_then_hang(program, *args, **kwargs):
+        metrics = real_measure(program, *args, **kwargs)
+        if program.name == programs[0].name:
+            time.sleep(30)  # the scheduler has emitted; the budget expires
+        return metrics
+
+    monkeypatch.setattr(runner, "measure_loop", measure_then_hang)
+    report = run_batch(
+        programs, MACHINE, jobs=jobs, chunk_size=chunk_size, timeout=0.5,
+        collect_trace=True,
+    )
+    assert [r.status for r in report.results] == ["timeout", "ok", "ok"]
+    partial = [r for r in report.trace_records if r["job"] == 0]
+    assert partial
+    assert _records_without_ts(report.trace_records) == _records_without_ts(
+        clean.trace_records
+    )
 
 
 def test_cli_trace_flag_writes_merged_jsonl(tmp_path, capsys):
