@@ -119,6 +119,16 @@ def elementary_circuits(
     ``limit`` circuits, at which point callers should fall back to the
     feasibility-search RecMII.
     """
+    yield from _circuits(n, succs, strongly_connected_components(n, succs), limit)
+
+
+def _circuits(
+    n: int,
+    succs: Sequence[Sequence[int]],
+    components: Sequence[Sequence[int]],
+    limit: int,
+) -> Iterator[List[int]]:
+    """:func:`elementary_circuits` given the SCCs of ``succs``."""
     yielded = 0
     for node in range(n):
         if node in succs[node]:
@@ -127,7 +137,7 @@ def elementary_circuits(
             if yielded > limit:
                 raise CircuitLimitExceeded(f"more than {limit} circuits")
 
-    for component in strongly_connected_components(n, succs):
+    for component in components:
         if len(component) < 2:
             continue
         members = sorted(component)
@@ -249,16 +259,23 @@ def _circuit_bound(
 def recmii_by_circuits(ddg: DDG, limit: int = 50_000) -> int:
     """RecMII by scanning each elementary circuit (paper's method)."""
     succs = _adjacency(ddg)
-    arc_index: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    components = strongly_connected_components(ddg.n, succs)
+    # A circuit hop is a self-loop or an arc inside one non-trivial SCC;
+    # only those arcs are grouped (an acyclic DDG groups none).
+    component_of = [-1] * ddg.n
+    for number, component in enumerate(components):
+        if len(component) >= 2:
+            for node in component:
+                component_of[node] = number
     grouped: Dict[Tuple[int, int], List[Arc]] = {}
     for arc in ddg.arcs:
-        if arc.kind is ArcKind.SEQ:
-            continue
-        grouped.setdefault((arc.src, arc.dst), []).append(arc)
-    for key, candidates in grouped.items():
-        arc_index[key] = _pareto_arcs(candidates)
+        src, dst = arc.src, arc.dst
+        if src == dst or component_of[src] == component_of[dst] != -1:
+            if arc.kind is not ArcKind.SEQ:
+                grouped.setdefault((src, dst), []).append(arc)
+    arc_index = {key: _pareto_arcs(candidates) for key, candidates in grouped.items()}
     bound = 1
-    for circuit in elementary_circuits(ddg.n, succs, limit=limit):
+    for circuit in _circuits(ddg.n, succs, components, limit):
         bound = max(bound, _circuit_bound(arc_index, circuit))
     return bound
 

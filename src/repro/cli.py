@@ -16,8 +16,8 @@
 
 Prints lower bounds, the found schedule, register pressure against the
 MinAvg bound, optionally the generated kernel-only VLIW code, and
-optionally executes the pipeline to verify it against sequential
-semantics.
+optionally executes the pipeline (dataflow and register-level VLIW) to
+verify it against sequential semantics.
 
 Observability (all opt-in; the default run is quiet and untraced):
 ``--trace PATH`` records every scheduler decision (``--trace-format``
@@ -82,11 +82,13 @@ from repro.obs import (
 )
 from repro.regalloc import allocate_registers
 from repro.simulator import (
+    SimulationError,
     initial_state,
     run_pipelined,
     run_sequential,
     values_close,
 )
+from repro.simulator.vliw import run_vliw
 
 _DEMO = """\
 loop figure1
@@ -144,7 +146,9 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--emit", action="store_true", help="print kernel-only VLIW code")
     parser.add_argument(
-        "--simulate", action="store_true", help="execute and verify against sequential"
+        "--simulate",
+        action="store_true",
+        help="execute (dataflow and register-level VLIW) and verify against sequential",
     )
     parser.add_argument("--dump-ir", action="store_true", help="print the compiled loop body")
     parser.add_argument(
@@ -327,28 +331,50 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(explain(result, tracer.events, metrics, ddg=ddg))
 
+    assignment = None
     if args.emit:
         assignment = allocate_registers(schedule, ddg)
         print()
         print(emit_kernel(generate_kernel(schedule, assignment)))
 
     if args.simulate:
-        sequential = run_sequential(program, initial_state(program))
-        pipelined = run_pipelined(schedule, initial_state(program))
+        if assignment is None:
+            assignment = allocate_registers(schedule, ddg)
+        return _simulate(program, schedule, generate_kernel(schedule, assignment))
+    return 0
+
+
+def _simulate(program, schedule, kernel) -> int:
+    """Run the dataflow and register-level VLIW executors against the
+    sequential reference; 1 if either disagrees or fails."""
+    sequential = run_sequential(program, initial_state(program))
+    executors = (
+        ("dataflow", lambda: run_pipelined(schedule, initial_state(program))),
+        ("register-level VLIW", lambda: run_vliw(kernel, initial_state(program))),
+    )
+    status = 0
+    for name, execute in executors:
+        try:
+            state = execute()
+        except SimulationError as exc:
+            print(f"SIMULATION ERROR ({name}): {exc}")
+            status = 1
+            continue
         mismatches = sum(
             not values_close(a, b)
-            for name in program.arrays
-            for a, b in zip(sequential.arrays[name], pipelined.arrays[name])
+            for array in program.arrays
+            for a, b in zip(sequential.arrays[array], state.arrays[array])
         ) + sum(
-            not values_close(sequential.scalars[name], pipelined.scalars[name])
-            for name in program.live_out
+            not values_close(sequential.scalars[scalar], state.scalars[scalar])
+            for scalar in program.live_out
         )
         if mismatches:
-            print(f"SIMULATION MISMATCH: {mismatches} locations differ")
-            return 1
-        print(f"simulation: pipelined execution matches sequential over "
-              f"{program.trip} iterations")
-    return 0
+            print(f"SIMULATION MISMATCH ({name}): {mismatches} locations differ")
+            status = 1
+        else:
+            print(f"simulation: {name} execution matches sequential over "
+                  f"{program.trip} iterations")
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -217,10 +217,16 @@ class DoLoop:
     def max_element(self, array: str) -> int:
         """Largest element index the loop can touch in ``array`` through
         affine references (used to size simulation arrays)."""
-        worst = 0
+        return self.max_elements().get(array, 0)
+
+    def max_elements(self) -> Dict[str, int]:
+        """:meth:`max_element` of every array with an affine reference,
+        from one walk over the body."""
+        worst: Dict[str, int] = {}
         for ref in _walk_refs(self.body):
-            if isinstance(ref, ArrayRef) and ref.array == array:
-                worst = max(worst, ref.stride * (self.start + self.trip) + ref.offset)
+            if isinstance(ref, ArrayRef):
+                element = ref.stride * (self.start + self.trip) + ref.offset
+                worst[ref.array] = max(worst.get(ref.array, 0), element)
         return worst
 
 

@@ -29,7 +29,7 @@ class RotatingFile:
 
     def read(self, specifier: int) -> Optional[float]:
         """Read the register named ``ICP + specifier``."""
-        return self._cells[self._physical(specifier)]
+        return self._cells[(self.icp + specifier) % self.size]
 
     def write(self, specifier: int, value: float) -> None:
         """Write the register named ``ICP + specifier``."""

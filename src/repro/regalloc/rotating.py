@@ -29,7 +29,7 @@ Strategies reproduced from that paper:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.bounds.lifetimes import Lifetime, max_live
 
@@ -53,26 +53,52 @@ class Allocation:
 
 
 class _CircularOccupancy:
-    """Occupied arcs on a circle of circumference R * II."""
+    """Occupied arcs on a circle of circumference C = R * II.
+
+    ``cells`` is a doubled occupancy array: cell ``p`` and its copy
+    ``p + C`` are 1 while some placed arc covers position ``p``, so any
+    arc starting in ``[0, C)`` with length at most C is the contiguous
+    slice ``cells[start:start + length]``.  Two half-open integer arcs
+    intersect modulo C exactly when they share a cell, so one C-level
+    ``find`` decides a fit exactly as testing the arc against every
+    placed arc with :func:`_arcs_overlap` would (the tests check it
+    does).
+    """
 
     def __init__(self, circumference: int):
         self.circumference = circumference
-        self.arcs: List[Tuple[int, int]] = []  # (start, length), start in [0, C)
+        self.cells = bytearray(2 * circumference)
+        self.ends: Set[int] = set()  # (start + length) mod C of every placed arc
 
     def fits(self, start: int, length: int) -> bool:
         if length > self.circumference:
             return False
         start %= self.circumference
-        for other in self.arcs:
-            if _arcs_overlap(self.circumference, start, length, other[0], other[1]):
-                return False
-        return True
+        return self.cells.find(1, start, start + length) < 0
 
     def place(self, start: int, length: int) -> None:
-        self.arcs.append((start % self.circumference, length))
+        c = self.circumference
+        start %= c
+        end = start + min(length, c)  # <= 2C
+        cells = self.cells
+        cells[start:end] = b"\x01" * (end - start)
+        if end <= c:
+            cells[start + c:end + c] = b"\x01" * (end - start)
+        else:  # the arc wraps: mirror its head onto the second copy
+            cells[start + c:] = b"\x01" * (c - start)
+            cells[:end - c] = b"\x01" * (end - c)
+        self.ends.add((start + length) % c)
 
-    def ends(self) -> List[int]:
-        return [(start + length) % self.circumference for start, length in self.arcs]
+    def gap_after(self, position: int, length: int) -> int:
+        """Distance from a fitting arc's end to the next occupied cell.
+
+        Placed arcs never overlap, so the first occupied cell at or after
+        the end of an arc that fits is some placed arc's start.
+        """
+        c = self.circumference
+        end = (position + length) % c
+        found = self.cells.find(1, end, end + c)
+        return c - length if found < 0 else found - end
 
 
 def _arcs_overlap(c: int, a_start: int, a_len: int, b_start: int, b_len: int) -> bool:
@@ -149,53 +175,52 @@ def _try_pack(
     occupancy = _CircularOccupancy(circumference)
     specifiers: Dict[int, int] = {}
     for lifetime in ordered:
-        specifier = _find_slot(occupancy, lifetime, ii, registers, fit)
+        length = lifetime.length
+        specifier = _find_slot(occupancy, lifetime.start, length, ii, registers, fit)
         if specifier is None:
             return None
         position = (lifetime.start - specifier * ii) % circumference
-        occupancy.place(position, lifetime.length)
+        occupancy.place(position, length)
         specifiers[lifetime.value.vid] = specifier
     return specifiers
 
 
 def _find_slot(
-    occupancy: _CircularOccupancy, lifetime: Lifetime, ii: int, registers: int, fit: str
+    occupancy: _CircularOccupancy,
+    start: int,
+    length: int,
+    ii: int,
+    registers: int,
+    fit: str,
 ) -> Optional[int]:
+    """The specifier ``fit`` picks for an arc (None if no position fits).
+
+    Specifier s puts the arc at ``(start - s * II) mod C``; among the
+    specifiers that fit, ties always go to the smallest.
+    """
     circumference = registers * ii
-    candidates = []
-    for specifier in range(registers):
-        position = (lifetime.start - specifier * ii) % circumference
-        if occupancy.fits(position, lifetime.length):
-            candidates.append((specifier, position))
-    if not candidates:
-        return None
-    if fit == "first_fit":
-        return candidates[0][0]
     if fit == "end_fit":
-        # Prefer positions butting against an existing arc's end.
-        ends = set(occupancy.ends())
-        for specifier, position in candidates:
-            if position in ends:
+        # Prefer a position butting against an existing arc's end: only
+        # ends congruent to start mod II are reachable, one specifier each.
+        butting = sorted(
+            ((start - end) % circumference) // ii
+            for end in occupancy.ends
+            if (end - start) % ii == 0
+        )
+        for specifier in butting:
+            if occupancy.fits(start - specifier * ii, length):
                 return specifier
-        return candidates[0][0]
-    # best_fit: choose the position leaving the smallest gap to the next
-    # occupied arc (tightest packing of the leftover hole).
-    best_specifier, best_gap = None, None
-    for specifier, position in candidates:
-        gap = _gap_after(occupancy, position, lifetime.length)
+    best: Optional[int] = None
+    best_gap: Optional[int] = None
+    for specifier in range(registers):
+        position = (start - specifier * ii) % circumference
+        if not occupancy.fits(position, length):
+            continue
+        if fit != "best_fit":
+            return specifier  # first_fit, or end_fit with no butting fit
+        # best_fit: the position leaving the smallest gap to the next
+        # occupied arc (tightest packing of the leftover hole).
+        gap = occupancy.gap_after(position, length)
         if best_gap is None or gap < best_gap:
-            best_specifier, best_gap = specifier, gap
-    return best_specifier
-
-
-def _gap_after(occupancy: _CircularOccupancy, position: int, length: int) -> int:
-    """Distance from the arc's end to the next occupied arc start."""
-    c = occupancy.circumference
-    end = (position + length) % c
-    if not occupancy.arcs:
-        return c - length
-    best = c
-    for other_start, _ in occupancy.arcs:
-        distance = (other_start - end) % c
-        best = min(best, distance)
+            best, best_gap = specifier, gap
     return best

@@ -50,13 +50,21 @@ def initial_state(program: DoLoop, seed: int = 0,
     gathers).
     """
     arrays: Dict[str, List[float]] = {}
+    max_elements = program.max_elements()
     for name, declared in program.arrays.items():
-        size = max(int(declared), program.max_element(name) + 2)
+        size = max(int(declared), max_elements.get(name, 0) + 2)
         if array_init and name in array_init:
             given = array_init[name]
             cells = [float(given[i % len(given)]) for i in range(size)]
         else:
-            cells = [seeded_value(name, i, seed) for i in range(size)]
+            # seeded_value for every index, with the CRC of the shared
+            # "name:" prefix computed once: crc32(b, crc32(a)) == crc32(a + b).
+            prefix = zlib.crc32(f"{name}:".encode())
+            tail = f":{seed}".encode()
+            cells = [
+                0.5 + (zlib.crc32(b"%d%b" % (i, tail), prefix) % 10_000) / 10_000.0
+                for i in range(size)
+            ]
         arrays[name] = cells
     return MachineState(arrays=arrays, scalars=dict(program.scalars))
 

@@ -29,11 +29,18 @@ address registers.)
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import heapq
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.codegen.kernel import KernelCode, KernelOp, KernelOperand
 from repro.ir.operations import Opcode
-from repro.simulator.dataflow import InitFn, SimulationError, _invariant_value, _live_in_value, execute_op
+from repro.simulator.dataflow import (
+    InitFn,
+    SimulationError,
+    _invariant_value,
+    _live_in_value,
+    decode,
+)
 from repro.machine.registers import RotatingFile, StaticFile
 from repro.simulator.state import MachineState
 
@@ -52,6 +59,7 @@ class _RegisterFiles:
         self.rr = RotatingFile("RR", max(1, kernel.assignment.rr_registers))
         self.icr = RotatingFile("ICR", max(1, kernel.assignment.icr_registers))
         self.gpr = StaticFile("GPR", max(1, kernel.assignment.gpr_registers))
+        self.rotations = 0  # kernel iterations completed
 
     def file_and_size(self, kind: str):
         if kind == "rr":
@@ -66,23 +74,29 @@ class _RegisterFiles:
         """End-of-kernel-iteration rotation (brtop's ICP decrement)."""
         self.rr.rotate()
         self.icr.rotate()
+        self.rotations += 1
 
-    def read(self, operand: KernelOperand, m: int):
+    def reader(self, operand: KernelOperand):
+        """``(register file, index)`` whose ``read(index)`` gives the
+        operand's value, or None for an immediate.
+
+        A rotating file reads through its ICP: after m rotations
+        ``ICP == -m mod size``, so specifier ``spec`` resolves to physical
+        ``(spec - m) mod size``.
+        """
         if operand.kind == "imm":
-            return operand.literal
+            return None
         register_file, size = self.file_and_size(operand.kind)
         if operand.kind == "gpr":
-            return register_file.read(operand.spec % size)
-        # The file has rotated m times: ICP == -m mod size, so reading
-        # through the rotating map equals physical (spec - m) mod size.
-        return register_file.read(operand.spec)
+            return register_file, operand.spec % size
+        return register_file, operand.spec
 
-    def write(self, kind: str, physical: int, value) -> None:
+    def writer(self, kind: str):
+        """``(write(physical, value), size)`` for results bound for ``kind``."""
         register_file, size = self.file_and_size(kind)
         if kind == "gpr":
-            register_file.write(physical % size, value)
-        else:
-            register_file.write_physical(physical, value)
+            return register_file.write, size
+        return register_file.write_physical, size
 
 
 def run_vliw(
@@ -93,7 +107,6 @@ def run_vliw(
 ) -> MachineState:
     """Execute kernel-only code for ``trip`` iterations over ``state``."""
     loop = kernel.loop
-    machine = kernel.schedule.machine
     ii, stages = kernel.ii, kernel.stages
     iterations = trip if trip is not None else int(loop.meta.get("trip", 0))
     if iterations <= 0:
@@ -106,41 +119,33 @@ def run_vliw(
     _preload_gprs(kernel, files, initial)
     _preload_live_ins(kernel, files, initial, init_fn)
 
-    # Pending register writes: (commit_cycle, sequence, kind, physical, value).
-    pending: List[Tuple[int, int, str, int, object]] = []
-    sequence = 0
+    rows = _decode_rows(kernel, files)
+    pending = _PendingWrites()
     live_out_values: Dict[str, object] = {}
-    live_out_vids = {value.vid: name for name, value in loop.live_out.items()}
     loop_control = _LoopControl(stages, iterations)
+    stage_active = loop_control.stage_active
 
     running = True
     m = 0
     while running:
         for row_index in range(ii):
             cycle = m * ii + row_index
-            pending.sort()
-            while pending and pending[0][0] <= cycle:
-                _, __, kind, physical, value = pending.pop(0)
-                files.write(kind, physical, value)
-            for kop in kernel.rows[row_index]:
-                if kop.op.opcode is Opcode.BRTOP:
-                    continue  # handled once per kernel iteration below
-                if not loop_control.stage_active(kop.stage, m):
+            pending.commit_through(cycle)
+            for op, stage, semantics, operand_value, dest in rows[row_index]:
+                if not stage_active(stage, m):
                     continue  # stage predicate (rotating ICR bit) squashes
-                k = m - kop.stage
+                k = m - stage
                 if not (0 <= k < iterations):  # hardware/bookkeeping cross-check
                     raise SimulationError(
-                        f"stage predicate enabled {kop.op!r} for iteration {k} "
+                        f"stage predicate enabled {op!r} for iteration {k} "
                         f"outside [0, {iterations}) — brtop loop control is broken"
                     )
-                result = _issue(kop, k, m, files, state)
-                if kop.dest is not None:
-                    physical = (kop.dest.spec - m) % files.file_and_size(kop.dest.kind)[1]
-                    commit = cycle + machine.latency(kop.op)
-                    pending.append((commit, sequence, kop.dest.kind, physical, result))
-                    sequence += 1
-                    if kop.op.dest.vid in live_out_vids and k == iterations - 1:
-                        live_out_values[live_out_vids[kop.op.dest.vid]] = result
+                result = semantics(op, k, operand_value, state)
+                if dest is not None:
+                    write, spec, size, latency, live_out_name = dest
+                    pending.push(cycle + latency, write, (spec - m) % size, result)
+                    if live_out_name is not None and k == iterations - 1:
+                        live_out_values[live_out_name] = result
         running = loop_control.brtop(m)
         files.rotate()  # brtop decrements the ICP once per kernel iteration
         m += 1
@@ -150,6 +155,92 @@ def run_vliw(
     for name, value in live_out_values.items():
         state.scalars[name] = value
     return state
+
+
+def _decode_rows(kernel: KernelCode, files: _RegisterFiles) -> List[list]:
+    """Each kernel row's ops, decoded once for the whole run.
+
+    An entry is ``(op, stage, semantics, operand_value, dest)``; ``dest``
+    is None or ``(write, encoded spec, file size, latency, live-out
+    name)``.  BRTOP is left out: the loop handles it once per kernel
+    iteration.
+    """
+    machine = kernel.schedule.machine
+    live_out_names = {value.vid: name for name, value in kernel.loop.live_out.items()}
+    rows = []
+    for row in kernel.rows:
+        decoded = []
+        for kop in row:
+            op = kop.op
+            if op.opcode is Opcode.BRTOP:
+                continue
+            dest = None
+            if kop.dest is not None:
+                write, size = files.writer(kop.dest.kind)
+                dest = (
+                    write,
+                    kop.dest.spec,
+                    size,
+                    machine.latency(op),
+                    live_out_names.get(op.dest.vid),
+                )
+            decoded.append((op, kop.stage, decode(op), _operand_reader(kop, files), dest))
+        rows.append(decoded)
+    return rows
+
+
+def _operand_reader(kop: KernelOp, files: _RegisterFiles):
+    """``operand_value(ir_operand, k)`` for one kernel op: reads each IR
+    operand through the register (or immediate) it is encoded as."""
+    op = kop.op
+    encodings = {id(ir): enc for ir, enc in zip(op.operands, kop.operands)}
+    if op.predicate is not None and kop.predicate is not None:
+        encodings[id(op.predicate)] = kop.predicate
+    readers = {key: (encoded, files.reader(encoded)) for key, encoded in encodings.items()}
+
+    def operand_value(ir_operand, k):
+        try:
+            encoded, reader = readers[id(ir_operand)]
+        except KeyError:
+            raise SimulationError(f"operand {ir_operand!r} of {op!r} not encoded") from None
+        if reader is None:
+            return encoded.literal
+        register_file, index = reader
+        value = register_file.read(index)
+        if value is None:
+            m = files.rotations
+            raise SimulationError(
+                f"{op!r} iteration {k}: read of {encoded.render()} "
+                f"(physical {(encoded.spec - m) % files.file_and_size(encoded.kind)[1]}) "
+                "returned an unwritten register — allocation or codegen is broken"
+            )
+        return value
+
+    return operand_value
+
+
+class _PendingWrites:
+    """Register writes in flight, applied when their commit cycle comes.
+
+    A heap of ``(commit cycle, sequence, write, physical, value)``; the
+    issue sequence number breaks ties, so writes that land on the same
+    cycle apply in issue order.
+    """
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[int, int, Callable, int, object]] = []
+        self._sequence = 0
+
+    def push(self, commit: int, write: Callable, physical: int, value) -> None:
+        heapq.heappush(self._heap, (commit, self._sequence, write, physical, value))
+        self._sequence += 1
+
+    def commit_through(self, cycle: int) -> None:
+        """Apply every write whose commit cycle is at most ``cycle``."""
+        heap = self._heap
+        while heap and heap[0][0] <= cycle:
+            _, __, write, physical, value = heapq.heappop(heap)
+            write(physical, value)
 
 
 class _LoopControl:
@@ -196,33 +287,12 @@ class _LoopControl:
         return True
 
 
-def _issue(kop: KernelOp, k: int, m: int, files: _RegisterFiles, state: MachineState):
-    op = kop.op
-    by_position = {id(ir): enc for ir, enc in zip(op.operands, kop.operands)}
-    if op.predicate is not None and kop.predicate is not None:
-        by_position[id(op.predicate)] = kop.predicate
-
-    def operand_value(ir_operand, _k):
-        encoded = by_position.get(id(ir_operand))
-        if encoded is None:
-            raise SimulationError(f"operand {ir_operand!r} of {op!r} not encoded")
-        value = files.read(encoded, m)
-        if value is None and encoded.kind != "imm":
-            raise SimulationError(
-                f"{op!r} iteration {k}: read of {encoded.render()} "
-                f"(physical {(encoded.spec - m) % files.file_and_size(encoded.kind)[1]}) "
-                "returned an unwritten register — allocation or codegen is broken"
-            )
-        return value
-
-    return execute_op(op, k, operand_value, state)
-
-
 def _preload_gprs(kernel: KernelCode, files: _RegisterFiles, initial: MachineState) -> None:
+    write, size = files.writer("gpr")
     for value in kernel.loop.values:
         if value.is_invariant:
             index = kernel.assignment.gpr[value.vid]
-            files.write("gpr", index, _invariant_value(value, initial))
+            write(index % size, _invariant_value(value, initial))
 
 
 def _preload_live_ins(
@@ -254,7 +324,7 @@ def _preload_live_ins(
             else kernel.assignment.rr.specifiers
         )
         specifier = -table[vid]
-        _, size = files.file_and_size(kind)
+        write, size = files.writer(kind)
         for j in range(-depth, 0):
             physical = (specifier - j) % size
-            files.write(kind, physical, _live_in_value(value, j, initial, init_fn))
+            write(physical, _live_in_value(value, j, initial, init_fn))

@@ -44,6 +44,54 @@ def test_emit_and_simulate(source_file, capsys):
     assert "matches sequential" in out
 
 
+def test_simulate_runs_all_three_simulators(source_file, capsys):
+    assert main([source_file, "--simulate"]) == 0
+    out = capsys.readouterr().out
+    assert "simulation: dataflow execution matches sequential over 20 iterations" in out
+    assert (
+        "simulation: register-level VLIW execution matches sequential over 20 iterations"
+        in out
+    )
+
+
+def _corrupted(run):
+    def corrupt(*args, **kwargs):
+        state = run(*args, **kwargs)
+        state.scalars["s"] += 1.0
+        return state
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "executor, label",
+    [("run_pipelined", "dataflow"), ("run_vliw", "register-level VLIW")],
+)
+def test_simulate_fails_on_a_mismatch_in_either_simulator(
+    executor, label, source_file, capsys, monkeypatch
+):
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, executor, _corrupted(getattr(cli, executor)))
+    assert main([source_file, "--simulate"]) == 1
+    out = capsys.readouterr().out
+    assert f"SIMULATION MISMATCH ({label}): 1 locations differ" in out
+    assert out.count("matches sequential") == 1
+
+
+def test_simulate_reports_a_simulation_error(source_file, capsys, monkeypatch):
+    import repro.cli as cli
+    from repro.simulator import SimulationError
+
+    def broken(*args, **kwargs):
+        raise SimulationError("register file exploded")
+
+    monkeypatch.setattr(cli, "run_vliw", broken)
+    assert main([source_file, "--simulate"]) == 1
+    out = capsys.readouterr().out
+    assert "SIMULATION ERROR (register-level VLIW): register file exploded" in out
+
+
 @pytest.mark.parametrize("index", [154, 174])
 def test_simulate_treats_matching_nans_as_equal(index, tmp_path, capsys):
     """Both simulators produce NaN in the same cells of these generated
